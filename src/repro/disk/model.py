@@ -27,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.disk.geometry import DiskGeometry
-from repro.disk.request import Extent, split_for_transfer
+from repro.disk.request import Extent, transfer_requests
 from repro.disk.trackbuffer import TrackBuffer
 from repro.obs.metrics import MetricsRegistry
 from repro.units import MB
@@ -269,10 +269,10 @@ class DiskModel:
         size, exactly as the FFS clustering layer would.
         """
         start = self.now_ms
-        for req in split_for_transfer(
+        for block, _nblocks, nbytes in transfer_requests(
             extents, block_size, self.geometry.max_transfer_bytes
         ):
-            self.access(kind, self.block_to_byte(req.start, block_size), req.nbytes)
+            self.access(kind, self.block_to_byte(block, block_size), nbytes)
         return self.now_ms - start
 
     def synchronous_metadata_write(self, fs_block: int, block_size: int) -> float:

@@ -11,7 +11,7 @@ the extent sequence a clustered FFS would issue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,17 @@ def coalesce_extents(extents: Iterable[Extent], block_size: int) -> List[Extent]
     return merged
 
 
-def split_for_transfer(
+def transfer_requests(
     extents: Iterable[Extent], block_size: int, max_transfer_bytes: int
-) -> List[Extent]:
-    """Split extents so no single transfer exceeds the hardware maximum.
+) -> Iterator[Tuple[int, int, int]]:
+    """Yield ``(start_block, nblocks, nbytes)`` for each hardware request.
 
     Section 5.1: the Bustek controller caps transfers at 64 KB, so a
     72 KB contiguous file still needs two requests — the source of the
-    write-throughput drop past 64 KB.
+    write-throughput drop past 64 KB.  The storage models iterate this
+    directly; :func:`split_for_transfer` is the same split as extents.
     """
     max_blocks = max(1, max_transfer_bytes // block_size)
-    out: List[Extent] = []
     for ext in extents:
         remaining_blocks = ext.nblocks
         remaining_bytes = ext.nbytes
@@ -125,8 +125,23 @@ def split_for_transfer(
         while remaining_blocks > 0:
             take = min(max_blocks, remaining_blocks)
             take_bytes = min(take * block_size, remaining_bytes)
-            out.append(Extent(start, take, take_bytes))
+            if take_bytes <= 0:
+                raise ValueError(
+                    f"transfer of {take} blocks at {start} covers no bytes: {ext}"
+                )
+            yield start, take, take_bytes
             start += take
             remaining_blocks -= take
             remaining_bytes -= take_bytes
-    return out
+
+
+def split_for_transfer(
+    extents: Iterable[Extent], block_size: int, max_transfer_bytes: int
+) -> List[Extent]:
+    """Split extents so no single transfer exceeds the hardware maximum."""
+    return [
+        Extent(start, nblocks, nbytes)
+        for start, nblocks, nbytes in transfer_requests(
+            extents, block_size, max_transfer_bytes
+        )
+    ]

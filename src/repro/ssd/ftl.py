@@ -105,7 +105,15 @@ class PageMappedFTL:
     # ------------------------------------------------------------------
 
     def read(self, lpn: int) -> float:
-        """Read one logical page; returns flash time in ms.
+        """Read one logical page; returns flash time in ms."""
+        return self.read_pages(lpn, lpn, 0.0)
+
+    def write(self, lpn: int) -> Tuple[float, float]:
+        """Write one logical page; returns ``(total_ms, gc_ms)``."""
+        return self.write_pages(lpn, lpn, 0.0)
+
+    def read_pages(self, first: int, last: int, now: float) -> float:
+        """Read logical pages ``first..last``; returns ``now`` advanced.
 
         Every read is priced as a data-page read, mapped or not.  The
         simulation's data plane is virtual — the file system above
@@ -113,31 +121,104 @@ class PageMappedFTL:
         unmapped-address fast path (which real FTLs do have) would
         misprice every benchmark read of a logically-existing file
         whose bytes were never replayed through this device.
-        """
-        elapsed = self.map_cache.touch(lpn, dirty=False)
-        self.flash_reads += 1
-        return elapsed + self.geometry.read_page_ms
 
-    def write(self, lpn: int) -> Tuple[float, float]:
-        """Write one logical page; returns ``(total_ms, gc_ms)``.
-
-        Allocates a fresh physical page (running GC first if the free
-        pool is exhausted), programs it, and invalidates the previous
-        mapping.  ``gc_ms`` is the garbage-collection pause embedded in
-        ``total_ms`` — zero on the no-GC fast path.
+        The mapping cache is touched once per translation page; the
+        run's other pages are hits by construction (the page was just
+        made most-recent), and each page's time is still added to
+        ``now`` on its own, so the float sum is the per-page one.
         """
-        elapsed = self.map_cache.touch(lpn, dirty=True)
-        gc_ms = self._maybe_collect()
-        elapsed += gc_ms
-        ppn = self._program_next_page(lpn)
-        old = self.page_map.get(lpn)
-        if old is not None:
-            self._invalidate(old)
-        self.page_map[lpn] = ppn
-        self.reverse_map[ppn] = lpn
-        self.host_pages_written += 1
-        elapsed += self.geometry.program_page_ms
-        return elapsed, gc_ms
+        per_tpage = self.geometry.map_entries_per_tpage
+        read_ms = self.geometry.read_page_ms
+        cache = self.map_cache
+        touch = cache.touch
+        run_start = first
+        end = last + 1
+        while run_start < end:
+            run_end = min((run_start // per_tpage + 1) * per_tpage, end)
+            now += touch(run_start, False) + read_ms
+            cache.hits += run_end - run_start - 1
+            for _ in range(run_end - run_start - 1):
+                now += read_ms
+            run_start = run_end
+        self.flash_reads += end - first
+        return now
+
+    def write_pages(self, first: int, last: int, now: float) -> Tuple[float, float]:
+        """Write logical pages ``first..last``; returns ``(now, gc_ms)``.
+
+        Each page gets a fresh physical page (garbage collection runs
+        first whenever the free pool is at its threshold), is
+        programmed, and invalidates its previous mapping.  ``gc_ms`` is
+        the garbage-collection pause embedded in the advance of
+        ``now``.  Per page, ``(translation + gc) + program`` is added
+        to ``now`` exactly as a page-at-a-time loop would add it.
+
+        On :class:`~repro.errors.OutOfSpaceError` the FTL is left as a
+        page-at-a-time loop leaves it: pages before the failing one are
+        written and counted, and the failing page's translation lookup
+        happened.
+        """
+        geo = self.geometry
+        per_block = geo.pages_per_block
+        per_tpage = geo.map_entries_per_tpage
+        program_ms = geo.program_page_ms
+        threshold = geo.gc_free_block_threshold
+        page_map = self.page_map
+        reverse_map = self.reverse_map
+        valid = self.valid_count
+        free_blocks = self.free_blocks
+        sealed = self.sealed_blocks
+        cache = self.map_cache
+        touch = cache.touch
+        block = self._open_block
+        ptr = self._write_ptr
+        gc_ms = 0.0
+        # The free pool shrinks only when a block seals, so the GC
+        # check before each page program is refreshed only then.
+        gc_due = len(free_blocks) <= threshold
+        run_start = first
+        end = last + 1
+        while run_start < end:
+            run_end = min((run_start // per_tpage + 1) * per_tpage, end)
+            elapsed = touch(run_start, True)
+            cache.hits += run_end - run_start - 1
+            for lpn in range(run_start, run_end):
+                if gc_due:
+                    # GC programs into the open block: hand it over.
+                    self._open_block, self._write_ptr = block, ptr
+                    try:
+                        pause = self._maybe_collect()
+                    except OutOfSpaceError:
+                        # Uncount the hits of pages never reached.
+                        cache.hits -= run_end - lpn - 1
+                        self.flash_programs += lpn - first
+                        self.host_pages_written += lpn - first
+                        raise
+                    block, ptr = self._open_block, self._write_ptr
+                    gc_due = False
+                    elapsed += pause
+                    gc_ms += pause
+                ppn = block * per_block + ptr
+                ptr += 1
+                valid[block] += 1
+                if ptr == per_block:
+                    sealed.append(block)
+                    block = free_blocks.popleft()
+                    ptr = 0
+                    gc_due = len(free_blocks) <= threshold
+                old = page_map.get(lpn)
+                if old is not None:
+                    valid[old // per_block] -= 1
+                    del reverse_map[old]
+                page_map[lpn] = ppn
+                reverse_map[ppn] = lpn
+                now += elapsed + program_ms
+                elapsed = 0.0
+            run_start = run_end
+        self._open_block, self._write_ptr = block, ptr
+        self.flash_programs += end - first
+        self.host_pages_written += end - first
+        return now, gc_ms
 
     # ------------------------------------------------------------------
     # Accounting
@@ -169,11 +250,6 @@ class PageMappedFTL:
             self._open_block = self.free_blocks.popleft()
             self._write_ptr = 0
         return ppn
-
-    def _invalidate(self, ppn: int) -> None:
-        block = ppn // self.geometry.pages_per_block
-        self.valid_count[block] -= 1
-        del self.reverse_map[ppn]
 
     def _maybe_collect(self) -> float:
         """Run greedy GC until the free pool clears the threshold.

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from repro import obs, schemas
 from repro.disk.model import IOKind
-from repro.disk.request import Extent, split_for_transfer
+from repro.disk.request import Extent, transfer_requests
 from repro.errors import InvalidRequestError
 from repro.obs.metrics import MetricsRegistry
 from repro.ssd.config import SSDGeometry
@@ -80,7 +80,7 @@ class SSDModel:
         del initial_angle
         self.now_ms = 0.0
         self.ftl = PageMappedFTL(self.geometry)
-        self.stats = SSDStats()
+        self.stats = SSDStats(self.ftl)
 
     def idle(self, ms: float) -> None:
         """Advance the clock for host think time."""
@@ -120,52 +120,29 @@ class SSDModel:
             # Fault check runs before any clock/FTL mutation so a caught
             # injected error leaves the model consistent.
             self.read_fault_hook(start_byte, nbytes)
-        start_time = self.now_ms
         ftl = self.ftl
-        cache = ftl.map_cache
-        pre_reads = ftl.flash_reads
-        pre_programs = ftl.flash_programs
-        pre_erases = ftl.flash_erases
-        pre_gc_runs = ftl.gc_runs
-        pre_moved = ftl.gc_moved_pages
-        pre_host = ftl.host_pages_written
-        pre_hits = cache.hits
-        pre_misses = cache.misses
-        pre_writebacks = cache.writebacks
-        self.now_ms += geo.request_overhead_ms
+        trace = self._trace
+        pre_misses = ftl.map_cache.misses if trace is not None else 0
+        start_time = self.now_ms
         first_lpn = start_byte // geo.page_size
         last_lpn = (start_byte + nbytes - 1) // geo.page_size
-        gc_ms = 0.0
+        now = start_time + geo.request_overhead_ms
         if kind is IOKind.READ:
-            for lpn in range(first_lpn, last_lpn + 1):
-                self.now_ms += ftl.read(lpn)
+            now = ftl.read_pages(first_lpn, last_lpn, now)
+            gc_ms = 0.0
         else:
             # Sub-page and unaligned writes program whole pages: the
             # read-modify-write a real FTL performs is folded into the
             # page program, and the amplification it causes is real.
-            for lpn in range(first_lpn, last_lpn + 1):
-                page_ms, pause_ms = ftl.write(lpn)
-                self.now_ms += page_ms
-                gc_ms += pause_ms
-        self.now_ms += nbytes / geo.bus_rate_bytes_per_ms
-        elapsed = self.now_ms - start_time
-        self.stats.record(kind, nbytes, elapsed)
-        self.stats.record_flash(
-            flash_reads=ftl.flash_reads - pre_reads,
-            flash_programs=ftl.flash_programs - pre_programs,
-            flash_erases=ftl.flash_erases - pre_erases,
-            gc_runs=ftl.gc_runs - pre_gc_runs,
-            gc_moved_pages=ftl.gc_moved_pages - pre_moved,
-            host_pages_written=ftl.host_pages_written - pre_host,
-            map_hits=cache.hits - pre_hits,
-            map_misses=cache.misses - pre_misses,
-            map_writebacks=cache.writebacks - pre_writebacks,
-            gc_ms=gc_ms,
-        )
-        if self._trace is not None:
+            now, gc_ms = ftl.write_pages(first_lpn, last_lpn, now)
+        now += nbytes / geo.bus_rate_bytes_per_ms
+        self.now_ms = now
+        elapsed = now - start_time
+        self.stats.record(kind, nbytes, elapsed, gc_ms)
+        if trace is not None:
             # Same fixed row as the disk backend (mechanical fields
             # pinned to zero), plus the SSD-specific extras.
-            self._trace.record(
+            trace.record(
                 kind=kind.value,
                 byte=start_byte,
                 nbytes=nbytes,
@@ -178,7 +155,7 @@ class SSDModel:
                 lost_rot=False,
                 buf_hit=False,
                 gc_ms=gc_ms,
-                map_misses=cache.misses - pre_misses,
+                map_misses=ftl.map_cache.misses - pre_misses,
             )
         return elapsed
 
@@ -198,10 +175,10 @@ class SSDModel:
     ) -> float:
         """Issue all ``extents`` in order; return total elapsed ms."""
         start = self.now_ms
-        for req in split_for_transfer(
+        for block, _nblocks, nbytes in transfer_requests(
             extents, block_size, self.geometry.max_transfer_bytes
         ):
-            self.access(kind, self.block_to_byte(req.start, block_size), req.nbytes)
+            self.access(kind, self.block_to_byte(block, block_size), nbytes)
         return self.now_ms - start
 
     def synchronous_metadata_write(self, fs_block: int, block_size: int) -> float:
@@ -217,6 +194,11 @@ class SSDStats:
     attribute façade over a private registry, with every event
     additionally mirrored into the process-wide registry when telemetry
     is enabled — and byte-identical behaviour when it is not.
+
+    The flash-operation fields are not copied: they read the totals the
+    FTL and its mapping cache already keep, which the model builds
+    together with these stats.  Only the request counters and ``gc_ms``
+    are accumulated here.
     """
 
     #: Field order of :meth:`to_dict`.  The first five match the
@@ -229,17 +211,27 @@ class SSDStats:
         "map_hits", "map_misses", "map_writebacks",
         "host_pages_written",
     )
+    #: The fields accumulated here; the rest read the FTL's totals.
+    MODEL_FIELDS = ("reads", "writes", "bytes_read", "bytes_written", "busy_ms", "gc_ms")
+    FTL_FIELDS = (
+        "flash_reads", "flash_programs", "flash_erases",
+        "gc_runs", "gc_moved_pages", "host_pages_written",
+    )
 
-    def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
+    def __init__(
+        self, ftl: PageMappedFTL, registry: "MetricsRegistry | None" = None
+    ) -> None:
+        self._ftl = ftl
         m = registry if registry is not None else MetricsRegistry()
         self._m = m
-        self._counters = {name: m.counter(f"ssd.{name}") for name in self.FIELDS}
+        self._counters = {name: m.counter(f"ssd.{name}") for name in self.MODEL_FIELDS}
         c = self._counters
         self._c_reads = c["reads"]
         self._c_writes = c["writes"]
         self._c_bytes_read = c["bytes_read"]
         self._c_bytes_written = c["bytes_written"]
         self._c_busy_ms = c["busy_ms"]
+        self._c_gc_ms = c["gc_ms"]
         g = obs.metrics_or_none()
         self._g = g
         if g is not None:
@@ -248,6 +240,8 @@ class SSDStats:
             }
             self._g_service_hist = g.histogram("ssd.service_time_ms")
             self._g_gc_hist = g.histogram("ssd.gc_pause_ms")
+            #: FTL totals already mirrored, to turn totals into deltas.
+            self._mirrored = self._ftl_totals()
 
     # -- the disk-stats-compatible attribute API -----------------------
 
@@ -256,21 +250,30 @@ class SSDStats:
     bytes_read = property(lambda self: self._counters["bytes_read"].value)
     bytes_written = property(lambda self: self._counters["bytes_written"].value)
     busy_ms = property(lambda self: self._counters["busy_ms"].value)
-    flash_reads = property(lambda self: self._counters["flash_reads"].value)
-    flash_programs = property(lambda self: self._counters["flash_programs"].value)
-    flash_erases = property(lambda self: self._counters["flash_erases"].value)
-    gc_runs = property(lambda self: self._counters["gc_runs"].value)
-    gc_moved_pages = property(lambda self: self._counters["gc_moved_pages"].value)
+    flash_reads = property(lambda self: self._ftl.flash_reads)
+    flash_programs = property(lambda self: self._ftl.flash_programs)
+    flash_erases = property(lambda self: self._ftl.flash_erases)
+    gc_runs = property(lambda self: self._ftl.gc_runs)
+    gc_moved_pages = property(lambda self: self._ftl.gc_moved_pages)
     gc_ms = property(lambda self: self._counters["gc_ms"].value)
-    map_hits = property(lambda self: self._counters["map_hits"].value)
-    map_misses = property(lambda self: self._counters["map_misses"].value)
-    map_writebacks = property(lambda self: self._counters["map_writebacks"].value)
-    host_pages_written = property(
-        lambda self: self._counters["host_pages_written"].value
-    )
+    map_hits = property(lambda self: self._ftl.map_cache.hits)
+    map_misses = property(lambda self: self._ftl.map_cache.misses)
+    map_writebacks = property(lambda self: self._ftl.map_cache.writebacks)
+    host_pages_written = property(lambda self: self._ftl.host_pages_written)
 
-    def record(self, kind: IOKind, nbytes: int, elapsed_ms: float) -> None:
-        """Account one completed request."""
+    def _ftl_totals(self) -> "dict[str, int]":
+        ftl = self._ftl
+        cache = ftl.map_cache
+        totals = {name: getattr(ftl, name) for name in self.FTL_FIELDS}
+        totals["map_hits"] = cache.hits
+        totals["map_misses"] = cache.misses
+        totals["map_writebacks"] = cache.writebacks
+        return totals
+
+    def record(
+        self, kind: IOKind, nbytes: int, elapsed_ms: float, gc_ms: float
+    ) -> None:
+        """Account one completed request and its GC pause."""
         if kind is IOKind.READ:
             self._c_reads.value += 1
             self._c_bytes_read.value += nbytes
@@ -278,6 +281,7 @@ class SSDStats:
             self._c_writes.value += 1
             self._c_bytes_written.value += nbytes
         self._c_busy_ms.value += elapsed_ms
+        self._c_gc_ms.value += gc_ms
         if self._g is not None:
             gc = self._g_counters
             if kind is IOKind.READ:
@@ -288,44 +292,12 @@ class SSDStats:
                 gc["bytes_written"].inc(nbytes)
             gc["busy_ms"].inc(elapsed_ms)
             self._g_service_hist.observe(elapsed_ms)
-
-    def record_flash(
-        self,
-        flash_reads: int,
-        flash_programs: int,
-        flash_erases: int,
-        gc_runs: int,
-        gc_moved_pages: int,
-        host_pages_written: int,
-        map_hits: int,
-        map_misses: int,
-        map_writebacks: int,
-        gc_ms: float,
-    ) -> None:
-        """Account one request's FTL activity (deltas, not totals)."""
-        c = self._counters
-        c["flash_reads"].value += flash_reads
-        c["flash_programs"].value += flash_programs
-        c["flash_erases"].value += flash_erases
-        c["gc_runs"].value += gc_runs
-        c["gc_moved_pages"].value += gc_moved_pages
-        c["gc_ms"].value += gc_ms
-        c["map_hits"].value += map_hits
-        c["map_misses"].value += map_misses
-        c["map_writebacks"].value += map_writebacks
-        c["host_pages_written"].value += host_pages_written
-        if self._g is not None:
-            g = self._g_counters
-            g["flash_reads"].inc(flash_reads)
-            g["flash_programs"].inc(flash_programs)
-            g["flash_erases"].inc(flash_erases)
-            g["gc_runs"].inc(gc_runs)
-            g["gc_moved_pages"].inc(gc_moved_pages)
-            g["gc_ms"].inc(gc_ms)
-            g["map_hits"].inc(map_hits)
-            g["map_misses"].inc(map_misses)
-            g["map_writebacks"].inc(map_writebacks)
-            g["host_pages_written"].inc(host_pages_written)
+            totals = self._ftl_totals()
+            mirrored = self._mirrored
+            for name, total in totals.items():
+                gc[name].inc(total - mirrored[name])
+            self._mirrored = totals
+            gc["gc_ms"].inc(gc_ms)
             if gc_ms > 0:
                 self._g_gc_hist.observe(gc_ms)
 
@@ -338,7 +310,7 @@ class SSDStats:
 
     def to_dict(self) -> "dict[str, float]":
         """All counters as a flat, stably ordered plain dict."""
-        return {name: self._counters[name].value for name in self.FIELDS}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     def to_document(self) -> "dict[str, object]":
         """Schema-stamped stats record for reports and experiments."""

@@ -101,6 +101,12 @@ class TestSplitForTransfer:
         assert sum(e.nbytes for e in exts) == 8 * BS + KB
         assert exts[-1].nbytes == KB
 
+    def test_piece_with_no_bytes_raises(self):
+        # Nine blocks holding 1 KB: the first 64 KB request takes all the
+        # bytes, so the ninth block's request would carry none.
+        with pytest.raises(ValueError):
+            split_for_transfer([Extent(0, 9, KB)], BS, 64 * KB)
+
     def test_total_bytes_invariant(self):
         original = [Extent(3, 20, 20 * BS - 5 * KB)]
         exts = split_for_transfer(original, BS, 64 * KB)

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro import obs, schemas, storage
+from repro.rng import substream
 from repro.cli import main
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
@@ -24,7 +25,7 @@ from repro.obs.diff import RunArtifacts, diff_runs, render_diff
 from repro.obs.disktrace import DiskTrace
 from repro.obs.report_html import build_diff_report
 from repro.obs.store import summarize_manifest
-from repro.ssd import MappingCache, PageMappedFTL, SSDGeometry, SSDModel
+from repro.ssd import MappingCache, PageMappedFTL, SSDGeometry, SSDModel, SSDStats
 from repro.units import KB, MB
 
 
@@ -262,6 +263,197 @@ class TestSSDModel:
         assert ssd_row["gc_ms"] == 0.0 and "map_misses" in ssd_row
         assert ssd_row["seek_ms"] == 0.0 and ssd_row["cyl"] == 0
         assert "gc_ms" not in disk_row and "map_misses" not in disk_row
+
+
+class _PerPageFTL(PageMappedFTL):
+    """The page-at-a-time FTL that the range operations replaced.
+
+    Each page is its own translation lookup, free-pool check, program
+    and invalidation — the naive reference the range path must match
+    bit for bit.
+    """
+
+    def read(self, lpn):
+        elapsed = self.map_cache.touch(lpn, dirty=False)
+        self.flash_reads += 1
+        return elapsed + self.geometry.read_page_ms
+
+    def write(self, lpn):
+        elapsed = self.map_cache.touch(lpn, dirty=True)
+        gc_ms = self._maybe_collect()
+        elapsed += gc_ms
+        ppn = self._program_next_page(lpn)
+        old = self.page_map.get(lpn)
+        if old is not None:
+            self.valid_count[old // self.geometry.pages_per_block] -= 1
+            del self.reverse_map[old]
+        self.page_map[lpn] = ppn
+        self.reverse_map[ppn] = lpn
+        self.host_pages_written += 1
+        elapsed += self.geometry.program_page_ms
+        return elapsed, gc_ms
+
+
+class _PerPageModel:
+    """``SSDModel.access`` as a loop of single-page FTL calls, with the
+    stats kept by hand as per-request deltas of the FTL counters."""
+
+    FLASH_FIELDS = (
+        "flash_reads", "flash_programs", "flash_erases", "gc_runs",
+        "gc_moved_pages", "host_pages_written",
+    )
+    MAP_FIELDS = ("hits", "misses", "writebacks")
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+        self.now_ms = 0.0
+        self.ftl = _PerPageFTL(geometry)
+        self.stats = dict.fromkeys(SSDStats.FIELDS, 0)
+
+    def _totals(self):
+        totals = {name: getattr(self.ftl, name) for name in self.FLASH_FIELDS}
+        for name in self.MAP_FIELDS:
+            totals[f"map_{name}"] = getattr(self.ftl.map_cache, name)
+        return totals
+
+    def access(self, kind, start_byte, nbytes):
+        geo = self.geometry
+        ftl = self.ftl
+        before = self._totals()
+        start_time = self.now_ms
+        self.now_ms += geo.request_overhead_ms
+        gc_ms = 0.0
+        for lpn in range(
+            start_byte // geo.page_size,
+            (start_byte + nbytes - 1) // geo.page_size + 1,
+        ):
+            if kind is IOKind.READ:
+                self.now_ms += ftl.read(lpn)
+            else:
+                page_ms, pause_ms = ftl.write(lpn)
+                self.now_ms += page_ms
+                gc_ms += pause_ms
+        self.now_ms += nbytes / geo.bus_rate_bytes_per_ms
+        elapsed = self.now_ms - start_time
+        stats = self.stats
+        if kind is IOKind.READ:
+            stats["reads"] += 1
+            stats["bytes_read"] += nbytes
+        else:
+            stats["writes"] += 1
+            stats["bytes_written"] += nbytes
+        stats["busy_ms"] += elapsed
+        stats["gc_ms"] += gc_ms
+        for name, total in self._totals().items():
+            stats[name] += total - before[name]
+        return elapsed
+
+
+def _ftl_state(ftl):
+    """Everything a later request's price can depend on."""
+    return {
+        "page_map": ftl.page_map,
+        "reverse_map": ftl.reverse_map,
+        "valid_count": ftl.valid_count,
+        "erase_counts": ftl.erase_counts,
+        "sealed_blocks": ftl.sealed_blocks,
+        "free_blocks": list(ftl.free_blocks),
+        "open": (ftl._open_block, ftl._write_ptr),
+        "lru": list(ftl.map_cache._resident.items()),
+        "counters": (
+            ftl.flash_reads, ftl.flash_programs, ftl.flash_erases,
+            ftl.gc_runs, ftl.gc_moved_pages, ftl.host_pages_written,
+            ftl.map_cache.hits, ftl.map_cache.misses,
+            ftl.map_cache.writebacks,
+        ),
+    }
+
+
+def _random_requests(rng, pages, count):
+    """Seeded mix of reads, writes, overwrites and sub-page writes over
+    ``pages`` logical pages, unaligned and up to the 64 KB maximum."""
+    for _ in range(count):
+        kind = IOKind.READ if rng.random() < 0.3 else IOKind.WRITE
+        shape = rng.random()
+        if shape < 0.2:
+            nbytes = rng.choice((512, 1024, 3 * 512))  # sub-page
+        elif shape < 0.5:
+            nbytes = 4 * KB * rng.randint(1, 4)
+        else:
+            nbytes = rng.randint(1, 64 * KB)
+        if rng.random() < 0.5:
+            start = 4 * KB * rng.randrange(pages)  # page-aligned
+        else:
+            start = rng.randrange(pages * 4 * KB)
+        start = min(start, pages * 4 * KB - nbytes)
+        yield kind, start, nbytes
+
+
+class TestRangePathMatchesPerPage:
+    """Differential test: ``SSDModel``'s page-range FTL path against the
+    page-at-a-time loop it replaced, on the same seeded request mix.
+
+    Translation pages of three entries, a two-page mapping cache and
+    four-page blocks make nearly every request cross translation-page
+    and block-seal boundaries mid-request, evict dirty translation
+    pages, and trigger GC with migration partway through a request.
+    """
+
+    GEO = dict(map_entries_per_tpage=3, map_cache_tpages=2)
+
+    def _pair(self, **overrides):
+        geo = _tiny_geo(**self.GEO, **overrides)
+        return SSDModel(geo), _PerPageModel(geo)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 1996])
+    def test_every_request_prices_and_mutates_identically(self, seed):
+        model, oracle = self._pair()
+        rng = substream(seed, "ssd-requests")
+        for kind, start, nbytes in _random_requests(rng, 40, 400):
+            elapsed = model.access(kind, start, nbytes)
+            assert elapsed == oracle.access(kind, start, nbytes)
+            assert model.now_ms == oracle.now_ms
+            assert model.stats.gc_ms == oracle.stats["gc_ms"]
+            assert _ftl_state(model.ftl) == _ftl_state(oracle.ftl)
+            assert model.stats.to_dict() == oracle.stats
+        stats = model.stats
+        # The mix must have reached every mechanism it claims to test.
+        assert stats.gc_moved_pages > 0 and stats.gc_ms > 0
+        assert stats.map_writebacks > 0 and stats.map_hits > 0
+        assert stats.reads > 0 and stats.writes > 0
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_out_of_space_raises_at_the_same_request(self, seed):
+        # Writes over more logical pages than the device holds: every
+        # block fills with live data and GC has nothing to reclaim.
+        model, oracle = self._pair()
+        rng = substream(seed, "ssd-requests")
+        requests = _random_requests(rng, 2 * model.geometry.physical_pages, 400)
+        for index, (kind, start, nbytes) in enumerate(requests):
+            try:
+                oracle.access(kind, start, nbytes)
+            except OutOfSpaceError:
+                with pytest.raises(OutOfSpaceError):
+                    model.access(kind, start, nbytes)
+                break
+            model.access(kind, start, nbytes)
+            assert model.now_ms == oracle.now_ms
+        else:
+            pytest.fail("the request mix never filled the device")
+        assert index > 0
+        # The FTL is left exactly as the page-at-a-time loop leaves it.
+        assert _ftl_state(model.ftl) == _ftl_state(oracle.ftl)
+
+    def test_single_page_calls_are_the_range_path(self):
+        geo = _tiny_geo(**self.GEO)
+        ftl, oracle = PageMappedFTL(geo), _PerPageFTL(geo)
+        # _churn_ftl's hot/cold mix, with a read after every write pair.
+        for i in range(150):
+            for lpn in (i % 8, 8 + (i % 32)):
+                assert ftl.write(lpn) == oracle.write(lpn)
+            assert ftl.read((i * 7) % 40) == oracle.read((i * 7) % 40)
+        assert ftl.gc_moved_pages > 0
+        assert _ftl_state(ftl) == _ftl_state(oracle)
 
 
 class TestStorageFactory:
