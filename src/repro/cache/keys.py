@@ -52,7 +52,6 @@ def replay_key(
     policy: str,
     label: str,
     faults: "Dict[str, object] | None" = None,
-    backend: str = "disk",
 ) -> CacheKey:
     """Key for one aged file system (a ``ReplayResult``).
 
@@ -66,13 +65,9 @@ def replay_key(
     digest, so a cached no-fault aging can never be served for a faulted
     request (or vice versa).
 
-    ``backend`` is the storage backend the run selected
-    (:func:`repro.storage.current_backend`).  The aged *layout* is
-    backend-independent, but the artifact belongs to the run
-    configuration that produced it, so a ``--backend ssd`` run keeps
-    its own cache lineage instead of silently aliasing the disk one.
-    (Adding the field re-digests every key once; pre-existing entries
-    simply miss and recompute, as any format bump does.)
+    The storage backend is not part of the key: aging never prices I/O,
+    so the aged layout is the same on either backend and a
+    ``--backend ssd`` run reuses the disk run's entry.
     """
     return make_key(
         f"aged-{preset_name}-{workload}-{policy}",
@@ -84,5 +79,4 @@ def replay_key(
         policy=policy,
         label=label,
         faults=faults,
-        backend=backend,
     )

@@ -3,10 +3,10 @@
 A latent sector error is damage that already happened — the medium
 degraded silently — and only surfaces when the sector is next *read*.
 :func:`read_fault_hook` compiles a plan's ``bad_blocks`` into a check
-the :class:`~repro.disk.model.DiskModel` runs before servicing each
+a :class:`~repro.disk.model.StorageModel` runs before servicing each
 read; a hit raises a typed
 :class:`~repro.errors.LatentSectorReadError` (and emits a
-``fault_injected`` event) before the model's clock or head state moves,
+``fault_injected`` event) before the model's clock or device state moves,
 so a caller that catches the error can retry or remap without the model
 having drifted.
 
@@ -26,11 +26,9 @@ from repro.obs import events as obs_events
 
 
 def read_fault_hook(
-    plan: FaultPlan,
-    block_size: int,
-    fs_offset_bytes: int = 0,
+    plan: FaultPlan, block_size: int
 ) -> Optional[Callable[[int, int], None]]:
-    """A ``DiskModel`` read hook enforcing ``plan.bad_blocks``.
+    """A storage model's read hook enforcing ``plan.bad_blocks``.
 
     Returns ``None`` when the plan has no bad blocks, so the disabled
     path stays the disabled path (the model skips the check entirely).
@@ -43,8 +41,8 @@ def read_fault_hook(
     events = obs.events_or_none()
 
     def check(start_byte: int, nbytes: int) -> None:
-        first = (start_byte - fs_offset_bytes) // block_size
-        last = (start_byte + nbytes - 1 - fs_offset_bytes) // block_size
+        first = start_byte // block_size
+        last = (start_byte + nbytes - 1) // block_size
         # Find the first bad block >= first; it faults iff it is <= last.
         idx = bisect_right(bad, first - 1)
         if idx >= len(bad) or bad[idx] > last:
@@ -61,7 +59,7 @@ def read_fault_hook(
         raise LatentSectorReadError(
             f"latent sector error reading block {fs_block} "
             f"(request {start_byte}+{nbytes})",
-            byte=fs_offset_bytes + fs_block * block_size,
+            byte=fs_block * block_size,
             fs_block=fs_block,
         )
 

@@ -1,10 +1,11 @@
 """Flash storage substrate: page-mapped FTL behind the disk interface.
 
 The package provides :class:`~repro.ssd.model.SSDModel`, a flash twin
-of :class:`~repro.disk.model.DiskModel` satisfying the same
-``StorageModel`` protocol (see :mod:`repro.storage`), built on a
-page-mapped FTL with a bounded DFTL-style mapping cache and
-threshold-triggered greedy garbage collection.  Select it anywhere
+of :class:`~repro.disk.model.DiskModel` built on the same
+:class:`~repro.disk.model.StorageModel` base class (see
+:mod:`repro.storage`) and on a page-mapped FTL with a bounded
+DFTL-style mapping cache and threshold-triggered greedy garbage
+collection.  Select it anywhere
 with ``--backend ssd``.
 """
 

@@ -1,9 +1,10 @@
 """SSD timing model: the flash twin of :class:`~repro.disk.model.DiskModel`.
 
-Presents the identical ``access(kind, start_byte, nbytes) -> elapsed_ms``
-contract (plus the extent-level helpers and the ``read_fault_hook``
-seam), so every benchmark, experiment, and chaos case that drives a
-``DiskModel`` can drive this instead via :func:`repro.storage.make_storage`.
+A :class:`~repro.disk.model.StorageModel`: the shared base supplies the
+``access(kind, start_byte, nbytes) -> elapsed_ms`` contract, the
+extent-level helpers and the ``read_fault_hook`` seam, so every
+benchmark, experiment, and chaos case that drives a ``DiskModel`` can
+drive this instead via :func:`repro.storage.make_storage`.
 
 The structural differences all fall out of the FTL underneath:
 
@@ -24,18 +25,15 @@ same request can cost more on a device whose free pool is fragmented.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from repro import obs, schemas
-from repro.disk.model import IOKind
-from repro.disk.request import Extent, transfer_requests
-from repro.errors import InvalidRequestError
-from repro.obs.metrics import MetricsRegistry
+from repro import schemas
+from repro.disk.model import DeviceStats, IOKind, StorageModel
 from repro.ssd.config import SSDGeometry
 from repro.ssd.ftl import PageMappedFTL
 
 
-class SSDModel:
+class SSDModel(StorageModel):
     """Simulated flash device: extent sequences to elapsed time.
 
     Parameters
@@ -43,83 +41,42 @@ class SSDModel:
     geometry:
         Flash layout/timing parameters (defaults to a device exporting
         the same capacity as Table 1's disk).
-    fs_offset_bytes:
-        Byte offset of the file-system partition; file-system block
-        addresses are linearised relative to this.
     read_fault_hook:
-        Optional fault-injection check called with ``(start_byte,
-        nbytes)`` before each read is serviced — the same seam
-        :class:`~repro.disk.model.DiskModel` exposes, so latent-error
-        plans and chaos cases work unchanged on flash.  It runs before
-        any clock or FTL mutation.
+        The :class:`~repro.disk.model.StorageModel` fault-injection
+        seam, so latent-error plans and chaos cases work unchanged on
+        flash.
     """
+
+    stats: "SSDStats"
 
     def __init__(
         self,
         geometry: "SSDGeometry | None" = None,
-        fs_offset_bytes: int = 0,
         read_fault_hook: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.geometry = geometry if geometry is not None else SSDGeometry()
-        self.fs_offset = fs_offset_bytes
-        self.read_fault_hook = read_fault_hook
-        self._trace = obs.disktrace_or_none()
-        self.reset()
-
-    # ------------------------------------------------------------------
-    # Clock and state
-    # ------------------------------------------------------------------
+        super().__init__(
+            self.geometry.max_transfer_bytes,
+            self.geometry.sector_size,
+            read_fault_hook,
+        )
 
     def reset(self, initial_angle: "float | None" = None) -> None:
         """Rewind the clock and start from a freshly-erased device.
 
         ``initial_angle`` is accepted for interface compatibility with
         the disk model and ignored: flash has no platter, so repetition
-        jitter is structurally zero on this backend.
+        jitter is structurally zero on this backend.  The SSD's only
+        cache is the FTL's *device-internal* mapping cache, which a host
+        cache drop does not touch, so ``drop_caches`` stays a no-op.
         """
         del initial_angle
         self.now_ms = 0.0
         self.ftl = PageMappedFTL(self.geometry)
         self.stats = SSDStats(self.ftl)
 
-    def idle(self, ms: float) -> None:
-        """Advance the clock for host think time."""
-        if ms < 0:
-            raise InvalidRequestError("cannot idle for negative time")
-        self.now_ms += ms
-
-    def drop_caches(self) -> None:
-        """Start-of-phase cache drop: a no-op on flash.
-
-        The disk model invalidates its track buffer here; the SSD's
-        only cache is the FTL's *device-internal* mapping cache, which
-        a host cache flush does not touch.
-        """
-
-    # ------------------------------------------------------------------
-    # Low-level single-request timing
-    # ------------------------------------------------------------------
-
-    def access(self, kind: IOKind, start_byte: int, nbytes: int) -> float:
-        """Service one request of ``nbytes`` at linear ``start_byte``.
-
-        Returns the service time in milliseconds and advances the
-        clock.  ``nbytes`` must not exceed the hardware maximum
-        transfer size; higher layers split requests first — the same
-        contract as the disk model.
-        """
+    def _service(self, kind: IOKind, start_byte: int, nbytes: int) -> float:
         geo = self.geometry
-        if nbytes <= 0:
-            raise InvalidRequestError("access of zero bytes")
-        if nbytes > geo.max_transfer_bytes:
-            raise InvalidRequestError(
-                f"request of {nbytes} bytes exceeds hardware maximum "
-                f"{geo.max_transfer_bytes}"
-            )
-        if kind is IOKind.READ and self.read_fault_hook is not None:
-            # Fault check runs before any clock/FTL mutation so a caught
-            # injected error leaves the model consistent.
-            self.read_fault_hook(start_byte, nbytes)
         ftl = self.ftl
         trace = self._trace
         pre_misses = ftl.map_cache.misses if trace is not None else 0
@@ -138,7 +95,9 @@ class SSDModel:
         now += nbytes / geo.bus_rate_bytes_per_ms
         self.now_ms = now
         elapsed = now - start_time
-        self.stats.record(kind, nbytes, elapsed, gc_ms)
+        self.stats.record(kind, nbytes, elapsed)
+        if gc_ms:
+            self.stats.note_gc(gc_ms)
         if trace is not None:
             # Same fixed row as the disk backend (mechanical fields
             # pinned to zero), plus the SSD-specific extras.
@@ -159,103 +118,46 @@ class SSDModel:
             )
         return elapsed
 
-    # ------------------------------------------------------------------
-    # Extent-level API used by the benchmarks
-    # ------------------------------------------------------------------
 
-    def block_to_byte(self, fs_block: int, block_size: int) -> int:
-        """Linear device byte address of a file-system block."""
-        return self.fs_offset + fs_block * block_size
-
-    def transfer_extents(
-        self,
-        kind: IOKind,
-        extents: Sequence[Extent],
-        block_size: int,
-    ) -> float:
-        """Issue all ``extents`` in order; return total elapsed ms."""
-        start = self.now_ms
-        for block, _nblocks, nbytes in transfer_requests(
-            extents, block_size, self.geometry.max_transfer_bytes
-        ):
-            self.access(kind, self.block_to_byte(block, block_size), nbytes)
-        return self.now_ms - start
-
-    def synchronous_metadata_write(self, fs_block: int, block_size: int) -> float:
-        """One synchronous sector-sized metadata update (inode/directory)."""
-        byte = self.block_to_byte(fs_block, block_size)
-        return self.access(IOKind.WRITE, byte, self.geometry.sector_size)
-
-
-class SSDStats:
+class SSDStats(DeviceStats):
     """Counters accumulated by an :class:`SSDModel` run.
 
-    Mirrors the :class:`~repro.disk.model.DiskStats` design: a thin
-    attribute façade over a private registry, with every event
-    additionally mirrored into the process-wide registry when telemetry
-    is enabled — and byte-identical behaviour when it is not.
-
-    The flash-operation fields are not copied: they read the totals the
-    FTL and its mapping cache already keep, which the model builds
-    together with these stats.  Only the request counters and ``gc_ms``
-    are accumulated here.
+    The request counters and ``gc_ms`` are accumulated here.  The
+    flash-operation fields are not copied: they read the totals the FTL
+    and its mapping cache already keep, which the model builds together
+    with these stats.  The global mirror adds those totals as
+    per-request deltas, and a histogram of non-zero GC pauses.
     """
 
+    PREFIX = "ssd"
     #: Field order of :meth:`to_dict`.  The first five match the
     #: disk-stats layout so backend-generic consumers line up; the rest
     #: are the flash-specific accounting.
-    FIELDS = (
-        "reads", "writes", "bytes_read", "bytes_written", "busy_ms",
+    FIELDS = DeviceStats.FIELDS + (
         "flash_reads", "flash_programs", "flash_erases",
         "gc_runs", "gc_moved_pages", "gc_ms",
         "map_hits", "map_misses", "map_writebacks",
         "host_pages_written",
     )
-    #: The fields accumulated here; the rest read the FTL's totals.
-    MODEL_FIELDS = ("reads", "writes", "bytes_read", "bytes_written", "busy_ms", "gc_ms")
-    FTL_FIELDS = (
-        "flash_reads", "flash_programs", "flash_erases",
-        "gc_runs", "gc_moved_pages", "host_pages_written",
-    )
 
-    def __init__(
-        self, ftl: PageMappedFTL, registry: "MetricsRegistry | None" = None
-    ) -> None:
+    def __init__(self, ftl: PageMappedFTL) -> None:
         self._ftl = ftl
-        m = registry if registry is not None else MetricsRegistry()
-        self._m = m
-        self._counters = {name: m.counter(f"ssd.{name}") for name in self.MODEL_FIELDS}
-        c = self._counters
-        self._c_reads = c["reads"]
-        self._c_writes = c["writes"]
-        self._c_bytes_read = c["bytes_read"]
-        self._c_bytes_written = c["bytes_written"]
-        self._c_busy_ms = c["busy_ms"]
-        self._c_gc_ms = c["gc_ms"]
-        g = obs.metrics_or_none()
-        self._g = g
-        if g is not None:
-            self._g_counters = {
-                name: g.counter(f"ssd.{name}") for name in self.FIELDS
-            }
-            self._g_service_hist = g.histogram("ssd.service_time_ms")
-            self._g_gc_hist = g.histogram("ssd.gc_pause_ms")
+        super().__init__()
+        # Only requests that paused for GC are noted, so this total and
+        # its global mirror start as floats: a run without GC reports
+        # ``0.0`` like every other millisecond total.
+        self.gc_ms = 0.0
+        if self._g is not None:
+            self._g_counters["gc_ms"].inc(0.0)
+            self._g_gc_hist = self._g.histogram("ssd.gc_pause_ms")
             #: FTL totals already mirrored, to turn totals into deltas.
             self._mirrored = self._ftl_totals()
 
-    # -- the disk-stats-compatible attribute API -----------------------
-
-    reads = property(lambda self: self._counters["reads"].value)
-    writes = property(lambda self: self._counters["writes"].value)
-    bytes_read = property(lambda self: self._counters["bytes_read"].value)
-    bytes_written = property(lambda self: self._counters["bytes_written"].value)
-    busy_ms = property(lambda self: self._counters["busy_ms"].value)
     flash_reads = property(lambda self: self._ftl.flash_reads)
     flash_programs = property(lambda self: self._ftl.flash_programs)
     flash_erases = property(lambda self: self._ftl.flash_erases)
     gc_runs = property(lambda self: self._ftl.gc_runs)
     gc_moved_pages = property(lambda self: self._ftl.gc_moved_pages)
-    gc_ms = property(lambda self: self._counters["gc_ms"].value)
     map_hits = property(lambda self: self._ftl.map_cache.hits)
     map_misses = property(lambda self: self._ftl.map_cache.misses)
     map_writebacks = property(lambda self: self._ftl.map_cache.writebacks)
@@ -264,42 +166,34 @@ class SSDStats:
     def _ftl_totals(self) -> "dict[str, int]":
         ftl = self._ftl
         cache = ftl.map_cache
-        totals = {name: getattr(ftl, name) for name in self.FTL_FIELDS}
-        totals["map_hits"] = cache.hits
-        totals["map_misses"] = cache.misses
-        totals["map_writebacks"] = cache.writebacks
-        return totals
+        return {
+            "flash_reads": ftl.flash_reads,
+            "flash_programs": ftl.flash_programs,
+            "flash_erases": ftl.flash_erases,
+            "gc_runs": ftl.gc_runs,
+            "gc_moved_pages": ftl.gc_moved_pages,
+            "host_pages_written": ftl.host_pages_written,
+            "map_hits": cache.hits,
+            "map_misses": cache.misses,
+            "map_writebacks": cache.writebacks,
+        }
 
-    def record(
-        self, kind: IOKind, nbytes: int, elapsed_ms: float, gc_ms: float
-    ) -> None:
-        """Account one completed request and its GC pause."""
-        if kind is IOKind.READ:
-            self._c_reads.value += 1
-            self._c_bytes_read.value += nbytes
-        else:
-            self._c_writes.value += 1
-            self._c_bytes_written.value += nbytes
-        self._c_busy_ms.value += elapsed_ms
-        self._c_gc_ms.value += gc_ms
+    def _mirror(self, kind: IOKind, nbytes: int, elapsed_ms: float) -> None:
+        """Mirror one request and the FTL work it caused."""
+        super()._mirror(kind, nbytes, elapsed_ms)
+        gc = self._g_counters
+        totals = self._ftl_totals()
+        mirrored = self._mirrored
+        for name, total in totals.items():
+            gc[name].inc(total - mirrored[name])
+        self._mirrored = totals
+
+    def note_gc(self, gc_ms: float) -> None:
+        """Account one request's garbage-collection pause."""
+        self.gc_ms += gc_ms
         if self._g is not None:
-            gc = self._g_counters
-            if kind is IOKind.READ:
-                gc["reads"].inc()
-                gc["bytes_read"].inc(nbytes)
-            else:
-                gc["writes"].inc()
-                gc["bytes_written"].inc(nbytes)
-            gc["busy_ms"].inc(elapsed_ms)
-            self._g_service_hist.observe(elapsed_ms)
-            totals = self._ftl_totals()
-            mirrored = self._mirrored
-            for name, total in totals.items():
-                gc[name].inc(total - mirrored[name])
-            self._mirrored = totals
-            gc["gc_ms"].inc(gc_ms)
-            if gc_ms > 0:
-                self._g_gc_hist.observe(gc_ms)
+            self._g_counters["gc_ms"].inc(gc_ms)
+            self._g_gc_hist.observe(gc_ms)
 
     def write_amplification(self) -> float:
         """Data pages programmed per host page written (1.0 = none)."""
@@ -308,20 +202,9 @@ class SSDStats:
             return 1.0
         return self.flash_programs / host
 
-    def to_dict(self) -> "dict[str, float]":
-        """All counters as a flat, stably ordered plain dict."""
-        return {name: getattr(self, name) for name in self.FIELDS}
-
     def to_document(self) -> "dict[str, object]":
         """Schema-stamped stats record for reports and experiments."""
         document: "dict[str, object]" = {"schema": schemas.SSD_STATS}
         document.update(self.to_dict())
         document["write_amplification"] = round(self.write_amplification(), 4)
         return document
-
-    def throughput_bytes_per_sec(self) -> float:
-        """Aggregate throughput over busy time (both directions)."""
-        busy_ms = self.busy_ms
-        if busy_ms == 0:
-            return 0.0
-        return (self.bytes_read + self.bytes_written) / (busy_ms / 1000.0)

@@ -1,30 +1,28 @@
-"""Storage backend selection: one protocol, two substrates.
+"""Storage backend selection: one contract, two substrates.
 
 Everything above the device — benchmarks, experiments, chaos, fault
 injection — prices I/O through the ``access(kind, start_byte, nbytes)
--> elapsed_ms`` contract that :class:`~repro.disk.model.DiskModel`
-defined and :class:`~repro.ssd.model.SSDModel` now also satisfies.
-This module names that contract (:class:`StorageModel`), holds the
-process-wide backend selection the CLI's ``--backend disk|ssd`` flag
-sets, and builds the right model via :func:`make_storage`.
+-> elapsed_ms`` contract of :class:`~repro.disk.model.StorageModel`,
+the base class :class:`~repro.disk.model.DiskModel` and
+:class:`~repro.ssd.model.SSDModel` share.  This module re-exports that
+base as :class:`StorageModel`, holds the process-wide backend selection
+the CLI's ``--backend disk|ssd`` flag sets, and builds the right model
+via :func:`make_storage`.
 
 The selection is process-wide (like :func:`repro.cache.configure`)
 because model construction happens deep inside benchmark loops that
 have no business threading a backend argument through every layer;
 parallel workers re-apply it in their initializer so a fan-out run
-matches its serial twin byte for byte.  The default is ``disk``, and
-the disk path constructs exactly what the pre-backend code did — same
-types, same arguments — so default behaviour is byte-identical.
+matches its serial twin byte for byte.  The default is ``disk``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.disk.geometry import DiskGeometry
-from repro.disk.model import DiskModel, IOKind
-from repro.disk.request import Extent
+from repro.disk.model import DiskModel, StorageModel
 from repro.errors import InvalidRequestError
 from repro.ssd.config import SSDGeometry
 from repro.ssd.model import SSDModel
@@ -33,7 +31,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "StorageModel",
-    "StorageStats",
     "configure",
     "current_backend",
     "using_backend",
@@ -45,48 +42,6 @@ BACKENDS: Tuple[str, ...] = ("disk", "ssd")
 DEFAULT_BACKEND = "disk"
 
 _backend: str = DEFAULT_BACKEND
-
-
-class StorageStats(Protocol):
-    """What backend-generic code may ask of a model's ``stats``."""
-
-    def to_dict(self) -> "dict[str, float]": ...
-
-    def throughput_bytes_per_sec(self) -> float: ...
-
-
-class StorageModel(Protocol):
-    """The device contract both backends satisfy.
-
-    The timing substrate behind every throughput number: a simulated
-    clock (``now_ms``), request-level pricing (:meth:`access`), the
-    extent-level helpers the benchmarks drive, and the
-    ``read_fault_hook`` seam fault injection uses.
-    """
-
-    now_ms: float
-    read_fault_hook: Optional[Callable[[int, int], None]]
-
-    @property
-    def stats(self) -> StorageStats: ...  # noqa: E704  (protocol member)
-
-    def reset(self, initial_angle: "float | None" = None) -> None: ...
-
-    def idle(self, ms: float) -> None: ...
-
-    def drop_caches(self) -> None: ...
-
-    def access(self, kind: IOKind, start_byte: int, nbytes: int) -> float: ...
-
-    def block_to_byte(self, fs_block: int, block_size: int) -> int: ...
-
-    def transfer_extents(
-        self, kind: IOKind, extents: Sequence[Extent], block_size: int
-    ) -> float: ...
-
-    def synchronous_metadata_write(
-        self, fs_block: int, block_size: int
-    ) -> float: ...
 
 
 def _check(backend: str) -> str:

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro import cache, obs
+from repro import cache, obs, storage
 from repro.cache.store import SCHEMA, ArtifactCache
 from repro.experiments.config import aging_config
 from repro.ffs.image import filesystem_to_document
@@ -193,3 +193,26 @@ class TestConfigIntegration:
         finally:
             cache.configure()
             config.clear_caches()
+
+    def test_ssd_run_reuses_the_disk_runs_agings(self, tmp_path, monkeypatch, capsys):
+        """The aged layout does not depend on the backend, so a
+        ``--backend ssd`` run is served from the disk run's entries."""
+        from repro.cli import main
+        from repro.experiments import config
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["experiment", "fig2", "--preset", "tiny", "--cache-dir", "c"]
+        prior = storage.current_backend()
+        try:
+            config.clear_caches()
+            assert main(argv + ["--backend", "disk"]) == 0
+            config.clear_caches()
+            assert main(argv + ["--backend", "ssd", "--metrics", "m.json"]) == 0
+            capsys.readouterr()
+            metrics = json.loads((tmp_path / "m.json").read_text())["metrics"]
+            assert metrics["cache.hits"]["value"] > 0
+            assert "cache.misses" not in metrics
+        finally:
+            cache.configure()
+            config.clear_caches()
+            storage.configure(prior)

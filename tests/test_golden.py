@@ -7,17 +7,22 @@ purpose: regenerate the file with the command in :data:`GOLDENS` and
 commit it together with the change that moved it.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from repro import storage
 from repro.cli import main
+from repro.experiments import config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Golden file -> the ``repro-ffs`` arguments whose stdout it holds.
 GOLDENS = {
     "flash_tiny.txt": ["experiment", "flash", "--preset", "tiny", "--no-cache"],
+    "all_tiny.txt": ["experiment", "all", "--preset", "tiny", "--no-cache"],
 }
 
 
@@ -39,4 +44,57 @@ def test_stdout_matches_golden(name, capsys, tmp_path, monkeypatch):
             f"(first difference at line {line + 1}):\n"
             f"  golden: {want_lines[line] if line < len(want_lines) else '<end>'}\n"
             f"  now:    {got_lines[line] if line < len(got_lines) else '<end>'}"
+        )
+
+
+#: The fig4 disk trace and ``disk.*``/``ssd.*`` metrics of each backend.
+#: ``fig4_tiny_disktrace.sha256`` holds one ``<sha256>  <backend>`` line
+#: per backend; ``fig4_tiny_metrics.json`` maps backend -> metric entries.
+FIG4_ARGS = ["experiment", "fig4", "--preset", "tiny", "--no-cache"]
+
+
+def _golden_trace_digests():
+    lines = (GOLDEN_DIR / "fig4_tiny_disktrace.sha256").read_text().splitlines()
+    return {backend: digest for digest, backend in (line.split() for line in lines)}
+
+
+@pytest.fixture
+def fresh_process_state():
+    """Start from no in-process experiment memos (a memoized fig4 would
+    price nothing into the trace) and restore the backend afterwards."""
+    prior = storage.current_backend()
+    config.clear_caches()
+    yield
+    config.clear_caches()
+    storage.configure(prior)
+
+
+@pytest.mark.parametrize("backend", storage.BACKENDS)
+def test_fig4_device_telemetry_matches_golden(
+    backend, capsys, tmp_path, monkeypatch, fresh_process_state
+):
+    monkeypatch.chdir(tmp_path)
+    argv = FIG4_ARGS + [
+        "--backend", backend, "--disk-trace", "d.jsonl", "--metrics", "m.json",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
+    assert digest == _golden_trace_digests()[backend], (
+        f"{backend} backend: fig4 disk trace no longer matches "
+        f"tests/golden/fig4_tiny_disktrace.sha256"
+    )
+    metrics = json.loads((tmp_path / "m.json").read_text())["metrics"]
+    got = {
+        name: entry for name, entry in metrics.items()
+        if name.startswith(("disk.", "ssd."))
+    }
+    want = json.loads((GOLDEN_DIR / "fig4_tiny_metrics.json").read_text())[backend]
+    # Compared as canonical JSON so a value's type counts too (0 vs 0.0).
+    for name in sorted(set(got) | set(want)):
+        assert json.dumps(got.get(name), sort_keys=True) == json.dumps(
+            want.get(name), sort_keys=True
+        ), (
+            f"{backend} backend: metric {name} no longer matches "
+            f"tests/golden/fig4_tiny_metrics.json"
         )

