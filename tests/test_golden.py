@@ -8,14 +8,17 @@ commit it together with the change that moved it.
 """
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from repro import storage
+from repro import cache, storage
 from repro.cli import main
 from repro.experiments import config
+from repro.ffs.check import check_filesystem
+from repro.ffs.image import dump_filesystem
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -53,9 +56,10 @@ def test_stdout_matches_golden(name, capsys, tmp_path, monkeypatch):
 FIG4_ARGS = ["experiment", "fig4", "--preset", "tiny", "--no-cache"]
 
 
-def _golden_trace_digests():
-    lines = (GOLDEN_DIR / "fig4_tiny_disktrace.sha256").read_text().splitlines()
-    return {backend: digest for digest, backend in (line.split() for line in lines)}
+def _golden_digests(name):
+    """``<sha256>  <label>`` lines of a golden file, as label -> digest."""
+    lines = (GOLDEN_DIR / name).read_text().splitlines()
+    return {label: digest for digest, label in (line.split() for line in lines)}
 
 
 @pytest.fixture
@@ -80,7 +84,7 @@ def test_fig4_device_telemetry_matches_golden(
     assert main(argv) == 0
     capsys.readouterr()
     digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
-    assert digest == _golden_trace_digests()[backend], (
+    assert digest == _golden_digests("fig4_tiny_disktrace.sha256")[backend], (
         f"{backend} backend: fig4 disk trace no longer matches "
         f"tests/golden/fig4_tiny_disktrace.sha256"
     )
@@ -98,3 +102,35 @@ def test_fig4_device_telemetry_matches_golden(
             f"{backend} backend: metric {name} no longer matches "
             f"tests/golden/fig4_tiny_metrics.json"
         )
+
+
+#: ``aged_tiny.sha256`` holds the SHA-256 of each tiny-preset aged image
+#: (its ``dump_filesystem`` JSON text), built with the cache disabled.
+#: The ffs and realloc lines equal the digests of the files written by
+#: ``repro-ffs age --preset tiny --policy both --no-cache --save-image X``.
+AGED_IMAGES = {
+    "ffs": lambda: config.aged("tiny", "ffs"),
+    "realloc": lambda: config.aged("tiny", "realloc"),
+    "real": lambda: config.aged_real("tiny"),
+}
+
+
+@pytest.fixture
+def uncached_aging(fresh_process_state):
+    """Replay from scratch: no persistent cache, no in-process memos."""
+    cache.configure(enabled=False)
+    yield
+    cache.configure()
+
+
+@pytest.mark.parametrize("image", sorted(AGED_IMAGES))
+def test_aged_image_matches_golden(image, uncached_aging):
+    fs = AGED_IMAGES[image]().fs
+    check_filesystem(fs)
+    buf = io.StringIO()
+    dump_filesystem(fs, buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == _golden_digests("aged_tiny.sha256")[image], (
+        f"aged image {image!r} (tiny preset) no longer matches "
+        f"tests/golden/aged_tiny.sha256"
+    )
