@@ -39,19 +39,6 @@ ENGINES = ("columnar", "perop")
 #: replay results, so stale cache entries miss instead of being served.
 ENGINE_VERSION = "columnar/v1"
 
-#: Workload operations replayed by this process, across all replays.
-_ops_replayed = 0
-
-
-def ops_replayed() -> int:
-    """Monotonic count of workload ops replayed in this process.
-
-    The bench suite samples this around each experiment to derive an
-    ops/second throughput figure for the aging-bound experiments; cache
-    hits replay nothing and therefore don't move it.
-    """
-    return _ops_replayed
-
 if TYPE_CHECKING:  # imported lazily to keep repro.faults optional at runtime
     from repro.faults.injector import CrashSummary, FaultInjector
 
@@ -169,8 +156,6 @@ class AgingReplayer:
         (simulated clock in days, attrs carrying that day's op/ENOSPC
         tallies) and the run's totals land in process-wide counters.
         """
-        global _ops_replayed
-        _ops_replayed += len(workload)
         if engine == "columnar":
             return self._replay_columnar(workload, sample_days)
         if engine == "perop":

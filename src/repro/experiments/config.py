@@ -20,11 +20,12 @@ which preset produced every reported number.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, TypeVar
 
-from repro import cache
+from repro import cache, storage
 from repro.aging.generator import AgingConfig, AgingArtifacts, build_workloads
 from repro.aging.replay import ReplayResult, age_file_system
 from repro.ffs.filesystem import FileSystem
@@ -173,12 +174,36 @@ def aged_fs_copy(preset_name: str, policy: str) -> FileSystem:
     return copy.deepcopy(aged(preset_name, policy).fs)
 
 
+_Run = TypeVar("_Run", bound=Callable[..., Any])
+
+
+def per_backend(func: _Run) -> _Run:
+    """Memoize an experiment run per storage backend.
+
+    Like ``lru_cache``, but the key also holds
+    :func:`repro.storage.current_backend`, so a run priced on the disk
+    is never served under ``ssd`` (or the reverse).  ``cache_clear`` is
+    exposed so :func:`clear_caches` finds it.
+    """
+    memo = lru_cache(maxsize=None)(
+        lambda _backend, *args, **kwargs: func(*args, **kwargs)
+    )
+
+    @functools.wraps(func)
+    def run(*args: Any, **kwargs: Any) -> Any:
+        return memo(storage.current_backend(), *args, **kwargs)
+
+    run.cache_clear = memo.cache_clear  # type: ignore[attr-defined]
+    return run  # type: ignore[return-value]
+
+
 def clear_caches() -> None:
     """Drop every in-process experiment memo.
 
-    Covers the accessors here *and* the per-experiment ``lru_cache``
-    memos in the experiment modules (found by scanning loaded modules,
-    so nothing gets imported as a side effect).  Tests use this to
+    Covers the accessors here *and* the per-experiment memos
+    (``lru_cache`` or :func:`per_backend`) in the experiment modules
+    (found by scanning loaded modules, so nothing gets imported as a
+    side effect).  Tests use this to
     control memory; parallel workers use it so that work re-done under
     a fresh telemetry session is not short-circuited by results
     memoized under an earlier (already snapshotted) one.

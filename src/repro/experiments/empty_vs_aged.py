@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List
 
 from repro.analysis.report import render_table
 from repro.bench.sequential import SequentialIOBenchmark
 from repro.bench.timing import BenchmarkRunner
-from repro.experiments.config import aged_fs_copy, get_preset
+from repro.experiments.config import aged_fs_copy, get_preset, per_backend
 from repro.ffs.filesystem import FileSystem
 from repro.units import KB, MB
 
@@ -76,7 +75,7 @@ class EmptyVsAgedResult:
         return table + summary
 
 
-@lru_cache(maxsize=None)
+@per_backend
 def run(preset: str = "small") -> EmptyVsAgedResult:
     """Benchmark empty and aged file systems under both policies."""
     p = get_preset(preset)

@@ -17,14 +17,13 @@ raw-disk throughputs as reference lines.  Shape targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List
 
 from repro.analysis.report import render_chart, render_csv, render_table
 from repro.bench.sequential import SequentialIOBenchmark, SequentialResult
 from repro.bench.timing import BenchmarkRunner
 from repro.disk.raw import raw_read_throughput, raw_write_throughput
-from repro.experiments.config import aged_fs_copy, get_preset
+from repro.experiments.config import aged_fs_copy, get_preset, per_backend
 from repro.units import KB, MB
 
 
@@ -113,7 +112,7 @@ class Fig4Result:
         return read_chart + "\n\n" + write_chart + "\n" + table
 
 
-@lru_cache(maxsize=None)
+@per_backend
 def run(preset: str = "small") -> Fig4Result:
     """Run the sweep on private copies of both aged file systems."""
     p = get_preset(preset)

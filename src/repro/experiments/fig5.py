@@ -9,11 +9,10 @@ layout (score 1.0) for files up to the 56 KB cluster size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.analysis.report import render_chart, render_csv, render_table
-from repro.experiments.config import get_preset
+from repro.experiments.config import get_preset, per_backend
 from repro.experiments import fig4
 from repro.units import KB
 
@@ -59,7 +58,7 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.3f}" if value is not None else "--"
 
 
-@lru_cache(maxsize=None)
+@per_backend
 def run(preset: str = "small") -> Fig5Result:
     """Collect the layout scores from the Figure 4 run (shared work)."""
     f4 = fig4.run(preset)

@@ -20,7 +20,6 @@ realloc approaches LFS's layout without any background copying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List
 
 from repro.analysis.report import render_chart, render_table
@@ -28,7 +27,7 @@ from repro.analysis.timeline import Timeline
 from repro.bench.timing import BenchmarkRunner
 from repro.disk.model import IOKind
 from repro.disk.request import extents_of_blocks
-from repro.experiments.config import aged, artifacts, get_preset
+from repro.experiments.config import aged, artifacts, get_preset, per_backend
 from repro.lfs.params import LFSParams
 from repro.lfs.replay import age_lfs
 from repro.storage import make_storage
@@ -82,7 +81,7 @@ class LfsCompareResult:
         return chart + "\n" + table + note
 
 
-@lru_cache(maxsize=None)
+@per_backend
 def run(preset: str = "small") -> LfsCompareResult:
     """Age all three systems with the identical workload and compare."""
     p = get_preset(preset)

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.analysis.report import render_table
 from repro.bench.iomodel import FileIOPricer
 from repro.bench.timing import BenchmarkRunner
 from repro.disk.geometry import DiskGeometry
-from repro.experiments.config import get_preset
+from repro.experiments.config import get_preset, per_backend
 from repro.ffs.filesystem import FileSystem
 from repro.storage import make_storage
 from repro.units import KB, MB
@@ -78,7 +77,7 @@ class RotdelayResult:
         )
 
 
-@lru_cache(maxsize=None)
+@per_backend
 def run(preset: str = "small", file_size: int = 96 * KB) -> RotdelayResult:
     """Measure both layouts under both disk generations."""
     p = get_preset(preset)

@@ -11,7 +11,7 @@ bit-identical in behaviour to the one that was saved.
 The format is versioned; readers reject images from a different major
 version rather than guessing.
 
-CLI: ``repro-ffs age --save-image FILE`` / ``repro-ffs bench --image``.
+CLI: ``repro-ffs age --save-image FILE`` / ``repro-ffs inspect FILE``.
 """
 
 from __future__ import annotations

@@ -6,12 +6,26 @@ and assert the paper's qualitative findings hold at test scale.
 
 import pytest
 
-from repro.experiments import fig1, fig2, fig3, fig4, fig5, fig6, table1, table2
+from repro import storage
+from repro.experiments import (
+    empty_vs_aged,
+    fig1,
+    fig2,
+    fig3,
+    fig4,
+    fig5,
+    fig6,
+    lfs_compare,
+    rotdelay,
+    table1,
+    table2,
+)
 from repro.experiments.config import (
     PRESETS,
     aged,
     aged_fs_copy,
     artifacts,
+    clear_caches,
     get_preset,
 )
 from repro.experiments.runner import EXPERIMENTS, run_all, run_one
@@ -46,6 +60,25 @@ class TestConfig:
         b = aged_fs_copy(PRESET, "ffs")
         assert a is not b
         assert a is not aged(PRESET, "ffs").fs
+
+    @pytest.mark.parametrize(
+        "module", [fig4, empty_vs_aged, lfs_compare, rotdelay],
+        ids=lambda m: m.__name__.rsplit(".", 1)[-1],
+    )
+    def test_memos_are_per_backend(self, module):
+        # A run memoized on disk must not be served under ssd: the
+        # memoized result has to equal a fresh run on the active backend.
+        clear_caches()
+        try:
+            on_disk = module.run(PRESET)
+            with storage.using_backend("ssd"):
+                memoized = module.run(PRESET)
+                clear_caches()
+                fresh = module.run(PRESET)
+            assert memoized == fresh
+            assert module.run(PRESET) == on_disk
+        finally:
+            clear_caches()
 
 
 class TestTable1:

@@ -1,8 +1,8 @@
 """CLI integration tests for `repro-ffs lint`.
 
-Exit-code contract (same as `bench --compare`): 0 clean, 1 findings,
-2 usage error.  Plus the meta-test that matters most: the shipped tree
-itself lints clean, so the CI gate starts green and stays strict.
+Exit-code contract: 0 clean, 1 findings, 2 usage error.  Plus the
+meta-test that matters most: the shipped tree itself lints clean, so
+the CI gate starts green and stays strict.
 """
 
 import json
