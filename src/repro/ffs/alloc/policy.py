@@ -121,7 +121,7 @@ class AllocPolicy:
         cg = self.sb.cgs[inode.alloc_cg]
         if not cg.owns_block(pref):
             return 0
-        run = cg.runmap.free_run_length_at(pref - cg.base)
+        run = cg.bitmap.free_run_length_at(pref - cg.base)
         if run == 0:
             return 0
         take = min(run, want)

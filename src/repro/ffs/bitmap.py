@@ -1,17 +1,14 @@
-"""Fragment bitmap for one cylinder group.
+"""Free-space map for one cylinder group.
 
 FFS allocates whole 8 KB blocks for the body of a file and 1 KB fragments
 for the tail of small files, so the on-disk free map is kept at fragment
-granularity.  ``FragBitmap`` mirrors that: one bit per fragment, plus two
-derived indexes the allocator needs constantly —
-
-* ``free_in_block`` — per-block free-fragment counts (a block is a *free
-  block* iff all of its fragments are free),
-* a fragment-run index equivalent to the kernel's ``cg_frsum``: for each
-  run length 1..7, which partially-allocated blocks currently contain a
-  maximal free run of that length.  The index is maintained lazily (the
-  allocator's hot path finds runs with :meth:`find_run_any_block`, a raw
-  ``bytearray.find`` scan) and flushed when a summary query needs it.
+granularity.  ``FragBitmap`` mirrors that: one byte per fragment, plus
+the per-block free-fragment counts, stored so that a wholly free block
+holds the byte ``fpb``.  It is the group's only free-space structure:
+every block-level question the allocators ask — the next free block
+(``ffs_mapsearch``), a free run of N blocks (``ffs_clusteralloc``), the
+run a preference sits in — is a C-level ``find``/``re`` scan of those
+counts, and fragment runs are ``find`` scans of the fragment bytes.
 
 All addresses here are *local* to the cylinder group; the
 :class:`~repro.ffs.cg.CylinderGroup` wrapper translates to and from global
@@ -20,8 +17,15 @@ block numbers.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Set, Tuple
+import re
+from itertools import chain, takewhile
+from typing import Dict, List, Optional, Tuple
+
+#: One maximal run of wholly free blocks in the per-block counts, by
+#: fragments per block (a free block's count byte is ``fpb``).
+_FREE_RUN: Dict[int, re.Pattern[bytes]] = {
+    fpb: re.compile(re.escape(bytes((fpb,))) + b"+") for fpb in range(1, 9)
+}
 
 
 class FragBitmap:
@@ -36,16 +40,9 @@ class FragBitmap:
         self.fpb = frags_per_block
         # 0 = free, 1 = allocated, one byte per fragment (fast and simple).
         self._bits = bytearray(nblocks * frags_per_block)
-        self._free_in_block = array("B", [frags_per_block] * nblocks)
+        # Free fragments per block; a wholly free block holds ``fpb``.
+        self._free_in_block = bytearray((frags_per_block,)) * nblocks
         self.free_frags = nblocks * frags_per_block
-        # frag-run index: run length -> {block: None}.  Maintained lazily:
-        # mutations only record the touched block in ``_dirty`` and the
-        # per-block re-derivation happens when a query needs the index
-        # (the allocator's hot path scans the raw bitmap instead).
-        self._runs: Dict[int, Dict[int, None]] = {
-            length: {} for length in range(1, frags_per_block)
-        }
-        self._dirty: Set[int] = set()
 
     def clone(self) -> "FragBitmap":
         """An independent copy, built by bulk-copying each column.
@@ -58,10 +55,8 @@ class FragBitmap:
         twin.nblocks = self.nblocks
         twin.fpb = self.fpb
         twin._bits = bytearray(self._bits)
-        twin._free_in_block = array("B", self._free_in_block)
+        twin._free_in_block = bytearray(self._free_in_block)
         twin.free_frags = self.free_frags
-        twin._runs = {length: dict(blocks) for length, blocks in self._runs.items()}
-        twin._dirty = set(self._dirty)
         return twin
 
     # ------------------------------------------------------------------
@@ -74,8 +69,8 @@ class FragBitmap:
         return self._bits[block * self.fpb + offset] == 0
 
     def block_is_free(self, block: int) -> bool:
-        """Whether every fragment of ``block`` is free."""
-        return self._free_in_block[block] == self.fpb
+        """Whether every fragment of ``block`` is free (False out of range)."""
+        return 0 <= block < self.nblocks and self._free_in_block[block] == self.fpb
 
     def block_is_full(self, block: int) -> bool:
         """Whether every fragment of ``block`` is allocated."""
@@ -107,15 +102,13 @@ class FragBitmap:
         self._bits[base : base + nfrags] = b"\x01" * nfrags
         self._free_in_block[block] -= nfrags
         self.free_frags -= nfrags
-        self._dirty.add(block)
 
     def alloc_block_range(self, block: int, nblocks: int) -> None:
         """Mark ``nblocks`` whole blocks starting at ``block`` allocated.
 
         The batched form of ``alloc_run(b, 0, fpb)`` for a cluster: one
-        slice write covers the whole range, and the run index only needs
-        the (now full) blocks removed.  Every fragment in the range must
-        be free.
+        slice write per array covers the whole range.  Every fragment in
+        the range must be free.
         """
         if nblocks < 1 or block < 0 or block + nblocks > self.nblocks:
             raise ValueError(
@@ -130,10 +123,8 @@ class FragBitmap:
                 f"frag {taken % self.fpb}"
             )
         self._bits[base:end] = b"\x01" * (end - base)
-        for b in range(block, block + nblocks):
-            self._free_in_block[b] = 0
+        self._free_in_block[block : block + nblocks] = bytes(nblocks)
         self.free_frags -= end - base
-        self._dirty.update(range(block, block + nblocks))
 
     def free_run(self, block: int, offset: int, nfrags: int) -> None:
         """Mark ``nfrags`` fragments starting at (block, offset) free."""
@@ -147,14 +138,14 @@ class FragBitmap:
         self._bits[base : base + nfrags] = b"\x00" * nfrags
         self._free_in_block[block] += nfrags
         self.free_frags += nfrags
-        self._dirty.add(block)
 
     def free_block_range(self, block: int, nblocks: int) -> None:
         """Mark ``nblocks`` whole blocks starting at ``block`` free.
 
         The batched form of ``free_run(b, 0, fpb)`` over a contiguous
-        run — one slice write instead of per-block scan-and-set.  Every
-        fragment in the range must currently be allocated.
+        run — one slice write per array instead of per-block
+        scan-and-set.  Every fragment in the range must currently be
+        allocated.
         """
         if nblocks < 1 or block < 0 or block + nblocks > self.nblocks:
             raise ValueError(
@@ -168,10 +159,10 @@ class FragBitmap:
                 f"double free: block {freed // self.fpb} frag {freed % self.fpb}"
             )
         self._bits[base:end] = b"\x00" * (end - base)
-        for b in range(block, block + nblocks):
-            self._free_in_block[b] = self.fpb
+        self._free_in_block[block : block + nblocks] = (
+            bytes((self.fpb,)) * nblocks
+        )
         self.free_frags += end - base
-        self._dirty.update(range(block, block + nblocks))
 
     def find_free_frag_in_blocks(self, block: int, nblocks: int) -> int:
         """Bitmap index of the first free fragment in the block range, -1
@@ -179,31 +170,102 @@ class FragBitmap:
         return self._bits.find(0, block * self.fpb, (block + nblocks) * self.fpb)
 
     # ------------------------------------------------------------------
-    # Fragment-run queries (the cg_frsum equivalent)
+    # Whole-block queries (derived from the per-block counts)
     # ------------------------------------------------------------------
 
-    def frag_runs(self, block: int) -> List[Tuple[int, int]]:
-        """Maximal free fragment runs of ``block`` as (offset, length)."""
-        runs: List[Tuple[int, int]] = []
-        base = block * self.fpb
-        start: Optional[int] = None
-        for off in range(self.fpb):
-            if self._bits[base + off] == 0:
-                if start is None:
-                    start = off
-            elif start is not None:
-                runs.append((start, off - start))
-                start = None
-        if start is not None:
-            runs.append((start, self.fpb - start))
-        return runs
+    @property
+    def free_blocks(self) -> int:
+        """Number of wholly free blocks (one C-level count)."""
+        return self._free_in_block.count(self.fpb)
 
-    def find_run_in_block(self, block: int, nfrags: int) -> Optional[int]:
-        """Offset of the first free run of >= ``nfrags`` in ``block``."""
-        for offset, length in self.frag_runs(block):
-            if length >= nfrags:
-                return offset
-        return None
+    def block_runs(self) -> List[Tuple[int, int]]:
+        """Maximal runs of wholly free blocks as (start, length), by start."""
+        return [
+            (m.start(), m.end() - m.start())
+            for m in _FREE_RUN[self.fpb].finditer(self._free_in_block)
+        ]
+
+    def free_run_length_at(self, block: int) -> int:
+        """Free blocks from ``block`` to the end of its run (0 if taken).
+
+        The batched allocator asks this to size one cluster allocation
+        where the per-block path would probe ``block_is_free`` repeatedly.
+        """
+        if not 0 <= block < self.nblocks:
+            return 0
+        m = _FREE_RUN[self.fpb].match(self._free_in_block, block)
+        return 0 if m is None else m.end() - block
+
+    def find_free_block(self, pref: int = 0) -> Optional[int]:
+        """First free block at or after ``pref``, wrapping around.
+
+        This is the fallback search of the *original* allocator: it takes
+        the next free block regardless of how large a run it sits in —
+        precisely the behaviour the paper blames for long-term
+        fragmentation.
+        """
+        pref %= self.nblocks
+        counts = self._free_in_block
+        hit = counts.find(self.fpb, pref)
+        if hit == -1:
+            hit = counts.find(self.fpb, 0, pref)
+        return None if hit == -1 else hit
+
+    def find_free_blocks(
+        self, length: int, pref: int = 0, fit: str = "firstfit"
+    ) -> Optional[int]:
+        """Start of a free run of >= ``length`` blocks, preferring continuation.
+
+        Search order mirrors ``ffs_clusteralloc``:
+
+        1. if the run containing ``pref`` still has ``length`` blocks
+           from ``pref`` onward, return ``pref`` itself — a cluster that
+           seamlessly continues the caller's previous allocation;
+        2. otherwise by ``fit``:
+
+           * ``"firstfit"`` (the kernel's behaviour) — the lowest-address
+             run of >= ``length`` blocks.  Address-ordered first fit
+             concentrates relocated clusters at the front of the group
+             and preserves the large free runs behind them;
+           * ``"bestfit"`` — the smallest adequate run (first such run
+             at/after ``pref``, cyclically).  Exact fits leave no
+             crumbs; kept as an ablation of the design choice.
+        """
+        if length < 1:
+            raise ValueError("cluster length must be >= 1")
+        if fit not in ("firstfit", "bestfit"):
+            raise ValueError(f"unknown fit strategy {fit!r}")
+        pref %= self.nblocks
+        if self.free_run_length_at(pref) >= length:
+            return pref
+        counts = self._free_in_block
+        if fit == "firstfit":
+            # The leftmost match of ``length`` free blocks always starts
+            # a run: a free block before it would give an earlier match.
+            hit = counts.find(bytes((self.fpb,)) * length)
+            return None if hit == -1 else hit
+        # Cyclic order from ``pref``: the runs starting after it, then
+        # the runs from the group start up to and including the one
+        # holding ``pref``.  A scan from ``pref + 1`` inside that run
+        # matches only its tail, shorter than ``length``, which never wins.
+        free_run = _FREE_RUN[self.fpb]
+        runs = chain(
+            free_run.finditer(counts, pref + 1),
+            takewhile(lambda m: m.start() <= pref, free_run.finditer(counts)),
+        )
+        best: Optional[int] = None
+        best_len = self.nblocks + 1
+        for m in runs:
+            run_len = m.end() - m.start()
+            if length <= run_len < best_len:
+                best, best_len = m.start(), run_len
+                if run_len == length:
+                    break  # exact fit cannot be beaten
+        return best
+
+    # ------------------------------------------------------------------
+    # Fragment-run queries
+    # ------------------------------------------------------------------
 
     def run_is_free(self, block: int, offset: int, nfrags: int) -> bool:
         """Whether the exact run (block, offset, nfrags) is entirely free."""
@@ -237,38 +299,6 @@ class FragBitmap:
             hit = self._scan_for_run(needle, 0, start_block * self.fpb)
         return hit
 
-    def partial_blocks_with_run(self, nfrags: int) -> List[int]:
-        """Partially-allocated blocks containing a free run >= ``nfrags``.
-
-        This is the ``cg_frsum`` query: it tells the allocator which
-        partial blocks could donate a fragment run, without scanning the
-        bitmap.  The caller picks among them by distance from its
-        preference, reproducing ``ffs_mapsearch``'s first-fit-from-
-        preference order.
-        """
-        if not 1 <= nfrags < self.fpb:
-            raise ValueError(f"fragment allocations are 1..{self.fpb - 1} frags")
-        self._flush_runs()
-        found: Dict[int, None] = {}
-        for length in range(nfrags, self.fpb):
-            for block in self._runs[length]:
-                found[block] = None
-        return list(found)
-
-    def frsum(self) -> Dict[int, int]:
-        """Counts of partial blocks indexed under each run length."""
-        self._flush_runs()
-        return {length: len(bucket) for length, bucket in self._runs.items()}
-
-    def run_index(self) -> Dict[int, Dict[int, None]]:
-        """The frag-run index (flushed), keyed by run length.
-
-        Consistency checks read this instead of poking the internals so
-        they always see the post-flush state.
-        """
-        self._flush_runs()
-        return self._runs
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -293,25 +323,6 @@ class FragBitmap:
                 return (i // fpb, offset)
             pos = (i // fpb + 1) * fpb
         return None
-
-    def _flush_runs(self) -> None:
-        """Re-derive index entries for blocks dirtied since the last query.
-
-        Sorted order keeps bucket insertion order — and therefore the
-        order of :meth:`partial_blocks_with_run` — deterministic.
-        """
-        if not self._dirty:
-            return
-        runs = self._runs
-        for block in sorted(self._dirty):
-            for bucket in runs.values():
-                bucket.pop(block, None)
-            free = self._free_in_block[block]
-            if free == 0 or free == self.fpb:
-                continue  # full or wholly free blocks are not fragment donors
-            for _offset, length in self.frag_runs(block):
-                runs[length][block] = None
-        self._dirty.clear()
 
     def _check(self, block: int, offset: int, nfrags: int) -> None:
         if not 0 <= block < self.nblocks:

@@ -38,7 +38,8 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    pragma_suppressed: int = 0
+    #: findings waived by an inline pragma, per rule id
+    pragma_suppressed_by_rule: Dict[str, int] = field(default_factory=dict)
     baseline_suppressed: int = 0
     #: call-graph export (``--graph-json``); populated only when the
     #: run built a graph (a project rule was selected, or the caller
@@ -48,6 +49,16 @@ class LintResult:
     @property
     def clean(self) -> bool:
         return not self.findings
+
+    @property
+    def pragma_suppressed(self) -> int:
+        """Findings waived by an inline pragma, all rules together."""
+        return sum(self.pragma_suppressed_by_rule.values())
+
+    def record_waiver(self, finding: Finding) -> None:
+        """Count ``finding`` as suppressed by an inline pragma."""
+        by_rule = self.pragma_suppressed_by_rule
+        by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
 
     def to_dict(self) -> Dict[str, object]:
         """JSON form (``repro-ffs lint --json``)."""
@@ -162,7 +173,7 @@ def lint_paths(
         for rule in module_rules:
             for finding in rule.check(module):
                 if pragmas.suppresses(finding):
-                    result.pragma_suppressed += 1
+                    result.record_waiver(finding)
                 else:
                     raw.append(finding)
 
@@ -177,7 +188,7 @@ def lint_paths(
             for finding in rule.check_project(project):
                 pragmas = pragmas_by_rel.get(finding.path)
                 if pragmas is not None and pragmas.suppresses(finding):
-                    result.pragma_suppressed += 1
+                    result.record_waiver(finding)
                 else:
                     raw.append(finding)
 

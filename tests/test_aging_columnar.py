@@ -1,11 +1,12 @@
-"""Differential tests: columnar replay engine vs. the per-op reference.
+"""Differential tests: columnar replay engine vs. a per-op reference.
 
 The columnar engine is a pure performance rewrite, so every observable
-must match the per-op path exactly: the final disk image, the timeline,
-the emitted ``day_sample`` events, the result counters, and the crash
-behaviour under fault injection.  These tests pin that equivalence
-across workload configurations and policies, and hold the incremental
-pair accounting to its linear scan budget.
+must match :class:`PerOpReplayer` — a plain loop over the workload's
+records, kept here as the test oracle — exactly: the final disk image,
+the timeline, the emitted ``day_sample`` events, the result counters,
+and the crash behaviour under fault injection.  These tests pin that
+equivalence across workload configurations and policies, and hold the
+incremental pair accounting to its linear scan budget.
 """
 
 import json
@@ -14,9 +15,11 @@ import pytest
 
 from repro import obs
 from repro.aging.generator import AgingConfig, build_workloads
-from repro.aging.replay import AgingReplayer, age_file_system
+from repro.aging.replay import AgingReplayer, ReplayResult, age_file_system
 from repro.aging.workload import APPEND, CREATE, Workload, WorkloadRecord
 from repro.analysis.freespace import free_space_stats
+from repro.analysis.timeline import Timeline
+from repro.errors import FaultInjectionError, OutOfSpaceError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashSpec, FaultPlan
 from repro.ffs.filesystem import FileSystem
@@ -35,17 +38,118 @@ def image_json(fs):
     return json.dumps(filesystem_to_document(fs), sort_keys=True)
 
 
+class PerOpReplayer(AgingReplayer):
+    """The per-record reference loop: identical results, no batching.
+
+    It walks ``WorkloadRecord`` objects one at a time, with none of the
+    columnar engine's day-slice or hoisted-local machinery, and shares
+    only the sampling, crash and finish steps with the library class.
+    """
+
+    def replay(self, workload, sample_days=True):
+        result = ReplayResult(fs=self.fs, timeline=Timeline(label=self.label))
+        self._initial_files = len(self.fs.files())
+        tr = obs.tracer_or_none()
+        day_span = (
+            tr.begin("replay.day", sim=0, label=self.label, day=0)
+            if tr is not None
+            else None
+        )
+        day_start_ops = day_start_skips = 0
+        current_day = 0
+        fault_day = 0
+        try:
+            for record in workload:
+                day = int(record.time)
+                if self._faults is not None and day != fault_day:
+                    fault_day = day
+                    self._faults.begin_day(day)
+                while sample_days and day > current_day:
+                    self._sample(result, current_day)
+                    if tr is not None:
+                        tr.end(
+                            day_span,
+                            sim=current_day + 1,
+                            ops=result.ops_applied - day_start_ops,
+                            enospc=result.skipped_no_space - day_start_skips,
+                            layout_score=round(self.current_layout_score(), 4),
+                        )
+                        day_start_ops = result.ops_applied
+                        day_start_skips = result.skipped_no_space
+                        day_span = tr.begin(
+                            "replay.day",
+                            sim=current_day + 1,
+                            label=self.label,
+                            day=current_day + 1,
+                        )
+                    current_day += 1
+                if record.op == CREATE:
+                    directory = self.target_directory(record.src_ino)
+                    if self._faults is not None:
+                        self._faults.before_op(self.fs, "create", None)
+                    try:
+                        ino = self.fs.create_file(
+                            directory, record.size, when=record.time
+                        )
+                    except OutOfSpaceError:
+                        result.skipped_no_space += 1
+                        continue
+                    self._track_pairs(ino)
+                    result.live_files[record.file_id] = ino
+                    result.creates += 1
+                    result.bytes_written += record.size
+                    op_kind = "create"
+                elif record.op == APPEND:
+                    ino = result.live_files.get(record.file_id)
+                    if ino is None:
+                        continue  # its create was skipped for space
+                    if self._faults is not None:
+                        self._faults.before_op(self.fs, "append", ino)
+                    try:
+                        self._append_tracked(ino, record.size, record.time)
+                    except OutOfSpaceError:
+                        result.skipped_no_space += 1
+                        continue
+                    result.bytes_written += record.size
+                    op_kind = "append"
+                else:
+                    ino = result.live_files.pop(record.file_id, None)
+                    if ino is None:
+                        continue  # its create was skipped for space
+                    if self._faults is not None:
+                        self._faults.before_op(self.fs, "delete", ino)
+                    self.fs.delete_file(ino, when=record.time)
+                    self._untrack_pairs(ino)
+                    result.deletes += 1
+                    op_kind = "delete"
+                result.ops_applied += 1
+                if self._faults is not None:
+                    # ENOSPC-skipped ops never reach here: they are not
+                    # buffered and cannot be crash candidates.
+                    self._faults.after_op(self.fs, op_kind, ino)
+        except FaultInjectionError as exc:
+            return self._crash_result(
+                result, exc, tr, day_span, current_day,
+                day_start_ops, day_start_skips,
+            )
+        return self._finish_replay(
+            result, sample_days, tr, day_span, current_day,
+            day_start_ops, day_start_skips,
+        )
+
+
+def age_per_op(workload, params, policy, faults=None):
+    """``age_file_system`` with the per-op reference loop."""
+    fs = FileSystem(params=params, policy=policy)
+    return PerOpReplayer(fs, label=policy, faults=faults).replay(workload)
+
+
 def replay_both(workload, params, policy, faulted=False):
     """Run the same workload through both engines; returns the pair."""
     out = []
-    for engine in ("columnar", "perop"):
+    for age in (age_file_system, age_per_op):
         faults = FaultInjector(FIRING_PLAN) if faulted else None
-        out.append(
-            age_file_system(
-                workload, params=params, policy=policy,
-                faults=faults, engine=engine,
-            )
-        )
+        out.append(age(workload, params=params, policy=policy, faults=faults))
     return out
 
 
@@ -94,12 +198,12 @@ class TestEngineEquivalence:
 
     def test_day_sample_events_identical(self, tiny_params, aging_artifacts):
         rows = []
-        for engine in ("columnar", "perop"):
+        for age in (age_file_system, age_per_op):
             log = obs.EventLog()
             with obs.session(events=log):
-                age_file_system(
+                age(
                     aging_artifacts.reconstructed, params=tiny_params,
-                    policy="ffs", engine=engine,
+                    policy="ffs",
                 )
             rows.append(log.rows())
         col_rows, per_rows = rows
@@ -107,11 +211,6 @@ class TestEngineEquivalence:
         assert any(
             r["type"] == obs_events.DAY_SAMPLE for r in col_rows
         ), "replay with an event log emitted no day samples"
-
-    def test_unknown_engine_rejected(self, tiny_params):
-        wl = Workload([])
-        with pytest.raises(ValueError, match="unknown replay engine"):
-            age_file_system(wl, params=tiny_params, engine="vectorized")
 
 
 class TestPairScanBudget:

@@ -63,25 +63,33 @@ class TestAllocFree:
 
 
 class TestFragRuns:
+    """Free fragment runs, seen through ``run_is_free`` and the
+    allocator's run search ``find_run_any_block``."""
+
     def test_whole_free_block_single_run(self):
         b = make()
-        assert b.frag_runs(5) == [(0, 8)]
+        assert b.run_is_free(5, 0, 8)
+        assert b.find_run_any_block(5, 7) == (5, 0)
 
     def test_runs_after_middle_allocation(self):
         b = make()
         b.alloc_run(5, 3, 2)
-        assert b.frag_runs(5) == [(0, 3), (5, 3)]
+        assert b.run_is_free(5, 0, 3) and b.run_is_free(5, 5, 3)
+        assert not b.is_frag_free(5, 3) and not b.is_frag_free(5, 4)
+        assert b.find_run_any_block(5, 3) == (5, 0)
+        assert b.find_run_any_block(5, 4) == (6, 0)  # no run of 4 in block 5
 
     def test_full_block_no_runs(self):
         b = make()
         b.alloc_run(5, 0, 8)
-        assert b.frag_runs(5) == []
+        assert b.free_in_block(5) == 0
+        assert b.find_run_any_block(5, 1) == (6, 0)
 
     def test_find_run_in_block(self):
         b = make()
         b.alloc_run(5, 0, 2)
-        assert b.find_run_in_block(5, 6) == 2
-        assert b.find_run_in_block(5, 7) is None
+        assert b.find_run_any_block(5, 6) == (5, 2)
+        assert b.find_run_any_block(5, 7) == (6, 0)
 
     def test_run_is_free(self):
         b = make()
@@ -91,39 +99,30 @@ class TestFragRuns:
 
 
 class TestRunIndex:
-    def test_partial_blocks_indexed(self):
-        b = make()
-        b.alloc_run(2, 0, 5)  # leaves a run of 3
-        assert 2 in b.partial_blocks_with_run(3)
-        assert 2 in b.partial_blocks_with_run(1)
-        assert 2 not in b.partial_blocks_with_run(4)
+    """The ``cg_frsum`` question — which blocks hold a free run of n
+    fragments — answered by scanning the bitmap, with no index to keep."""
 
-    def test_free_blocks_not_indexed(self):
-        b = make()
-        assert b.partial_blocks_with_run(1) == []
+    def test_partial_blocks_indexed(self):
+        b = make(nblocks=4)
+        b.alloc_block_range(0, 4)
+        b.free_run(2, 5, 3)  # block 2 keeps a run of 3 at offset 5
+        assert b.find_run_any_block(0, 3) == (2, 5)
+        assert b.find_run_any_block(0, 1) == (2, 5)
+        assert b.find_run_any_block(0, 4) is None
 
     def test_full_blocks_not_indexed(self):
         b = make()
         b.alloc_run(2, 0, 8)
-        assert b.partial_blocks_with_run(1) == []
+        assert b.find_run_any_block(2, 1) == (3, 0)
 
     def test_index_updates_on_free(self):
         b = make()
         b.alloc_run(2, 0, 5)
+        assert b.find_run_any_block(2, 3) == (2, 5)
         b.free_run(2, 0, 5)
-        assert b.partial_blocks_with_run(1) == []
+        assert b.find_run_any_block(2, 3) == (2, 0)
 
     def test_invalid_size_rejected(self):
         b = make()
         with pytest.raises(ValueError):
-            b.partial_blocks_with_run(8)
-
-    def test_frsum_counts(self):
-        b = make()
-        b.alloc_run(1, 0, 5)  # run of 3
-        b.alloc_run(2, 0, 5)  # run of 3
-        b.alloc_run(3, 0, 7)  # run of 1
-        frsum = b.frsum()
-        assert frsum[3] == 2
-        assert frsum[1] == 1
-        assert frsum[5] == 0
+            b.find_run_any_block(0, 8)

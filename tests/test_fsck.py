@@ -114,8 +114,10 @@ class TestRepairPairsDetection:
         inode = fs.files()[0]
         block = inode.blocks[0]
         cg = fs.sb.cg_of_block(block)
-        cg.runmap.free(block - cg.base)
+        local = block - cg.base
+        cg.bitmap._free_in_block[local] = fs.params.frags_per_block
         detect_then_repair(fs)
+        assert not cg.bitmap.block_is_free(local)
 
     def test_tail_double_claim(self, fs):
         a = min(fs.files(), key=lambda i: i.ino)
@@ -141,33 +143,6 @@ class TestRepairPairsPerViewDetection:
         cg.bitmap._free_in_block[0] += 1
         report = detect_then_repair(fs)
         assert report.orphaned_frags == 0  # nothing owned was touched
-
-    def test_cg_free_blocks_total(self, fs):
-        cg = fs.sb.cgs[0]
-        cg.runmap.free_blocks += 1
-        detect_then_repair(fs)
-
-    def test_unmerged_adjacent_runs(self, fs):
-        cg = fs.sb.cgs[0]
-        start, length = next(
-            (s, ln) for s, ln in cg.runmap.runs() if ln >= 2
-        )
-        cg.runmap._len_at[start] = 1
-        cg.runmap._len_at[start + 1] = length - 1
-        cg.runmap._starts = sorted(cg.runmap._starts + [start + 1])
-        detect_then_repair(fs)
-
-    def test_frag_run_index(self, fs):
-        d = fs.directories["d"]
-        ino = fs.create_file(d, 41 * KB)  # 5 blocks + a 1-frag tail
-        inode = fs.inodes[ino]
-        assert inode.tail is not None
-        block = inode.tail[0]
-        cg = fs.sb.cg_of_block(block)
-        local = block - cg.base
-        (run_length,) = {ln for _off, ln in cg.bitmap.frag_runs(local)}
-        del cg.bitmap.run_index()[run_length][local]
-        detect_then_repair(fs)
 
     def test_inode_table_key_mismatch(self, fs):
         inode = fs.files()[0]

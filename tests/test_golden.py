@@ -104,15 +104,25 @@ def test_fig4_device_telemetry_matches_golden(
         )
 
 
-#: ``aged_tiny.sha256`` holds the SHA-256 of each tiny-preset aged image
-#: (its ``dump_filesystem`` JSON text), built with the cache disabled.
-#: The ffs and realloc lines equal the digests of the files written by
-#: ``repro-ffs age --preset tiny --policy both --no-cache --save-image X``.
+#: ``aged_<preset>.sha256`` holds the SHA-256 of each aged image of that
+#: preset (its ``dump_filesystem`` JSON text), built with the cache
+#: disabled.  The ffs and realloc lines equal the digests of the files
+#: written by ``repro-ffs age --preset P --policy both --no-cache
+#: --save-image X``.
 AGED_IMAGES = {
-    "ffs": lambda: config.aged("tiny", "ffs"),
-    "realloc": lambda: config.aged("tiny", "realloc"),
-    "real": lambda: config.aged_real("tiny"),
+    "ffs": lambda preset: config.aged(preset, "ffs"),
+    "realloc": lambda preset: config.aged(preset, "realloc"),
+    "real": lambda preset: config.aged_real(preset),
 }
+
+#: Tiny images keep their bare ids; the small ones take several seconds
+#: each to age, so they are marked ``slow``.
+AGED_CASES = [
+    pytest.param("tiny", image, id=image) for image in sorted(AGED_IMAGES)
+] + [
+    pytest.param("small", image, id=f"small-{image}", marks=pytest.mark.slow)
+    for image in sorted(AGED_IMAGES)
+]
 
 
 @pytest.fixture
@@ -123,14 +133,15 @@ def uncached_aging(fresh_process_state):
     cache.configure()
 
 
-@pytest.mark.parametrize("image", sorted(AGED_IMAGES))
-def test_aged_image_matches_golden(image, uncached_aging):
-    fs = AGED_IMAGES[image]().fs
+@pytest.mark.parametrize("preset, image", AGED_CASES)
+def test_aged_image_matches_golden(preset, image, uncached_aging):
+    fs = AGED_IMAGES[image](preset).fs
     check_filesystem(fs)
     buf = io.StringIO()
     dump_filesystem(fs, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == _golden_digests("aged_tiny.sha256")[image], (
-        f"aged image {image!r} (tiny preset) no longer matches "
-        f"tests/golden/aged_tiny.sha256"
+    golden = f"aged_{preset}.sha256"
+    assert digest == _golden_digests(golden)[image], (
+        f"aged image {image!r} ({preset} preset) no longer matches "
+        f"tests/golden/{golden}"
     )

@@ -10,7 +10,9 @@ rule in isolation.
 import textwrap
 from pathlib import Path
 
-from repro.lint.engine import lint_paths
+import pytest
+
+from repro.lint.engine import _rel_path, collect_files, lint_paths
 from repro.lint.graph import build_graph
 from repro.lint.registry import build_context
 from repro.lint.rules.graph_determinism import (
@@ -24,6 +26,32 @@ from repro.lint.rules.schema_registry import SchemaRegistryRule
 from repro.lint.rules.units_flow import UnitFlowRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def shipped_graph():
+    """The call graph of the shipped ``src`` tree, built once per module."""
+    modules = []
+    for path in collect_files([REPO_ROOT / "src"]):
+        rel = _rel_path(path, REPO_ROOT)
+        modules.append(build_context(path, rel, path.read_text()))
+    return build_graph(modules)
+
+
+@pytest.fixture(scope="module")
+def shipped_lint():
+    """One lint of the shipped ``src`` tree with R101, R102 and R103: the
+    tree is parsed and graphed once, and each rule's test reads its own
+    findings."""
+    return lint_paths(
+        [REPO_ROOT / "src"],
+        rules=[TransitiveDeterminismRule, SchemaRegistryRule, UnitFlowRule],
+        root=REPO_ROOT,
+    )
+
+
+def findings_of(result, rule):
+    return [f.format() for f in result.findings if f.rule_id == rule.rule_id]
 
 
 def run(tmp_path, files, rules):
@@ -145,18 +173,8 @@ class TestR101TransitiveDeterminism:
 class TestR101ShippedTree:
     """The acceptance pin: the real tree's protected paths are clean."""
 
-    def _graph(self):
-        from repro.lint.engine import _rel_path, collect_files
-
-        modules = []
-        for path in collect_files([REPO_ROOT / "src"]):
-            rel = _rel_path(path, REPO_ROOT)
-            modules.append(build_context(path, rel, path.read_text()))
-        return build_graph(modules)
-
-    def test_protected_roots_are_populated(self):
-        graph = self._graph()
-        parents, order = protected_reachable(graph)
+    def test_protected_roots_are_populated(self, shipped_graph):
+        parents, order = protected_reachable(shipped_graph)
         for expected in (
             "repro.cache.keys.make_key",
             "repro.aging.replay.age_file_system",
@@ -167,9 +185,8 @@ class TestR101ShippedTree:
         # reachable from replay without any direct import link.
         assert "repro.ffs.superblock.Superblock.hashalloc" in parents
 
-    def test_traces_lead_back_to_a_root(self):
-        graph = self._graph()
-        parents, order = protected_reachable(graph)
+    def test_traces_lead_back_to_a_root(self, shipped_graph):
+        parents, order = protected_reachable(shipped_graph)
         for qualname in order:
             chain = trace_to_root(parents, qualname)
             assert chain[-1] == qualname
@@ -178,18 +195,13 @@ class TestR101ShippedTree:
                 root.startswith(p + ".") for p in PROTECTED_ROOTS
             ), f"{qualname} traces to non-root {root}"
 
-    def test_every_reachable_function_is_proven_clean(self):
+    def test_every_reachable_function_is_proven_clean(self, shipped_lint):
         """Every function reachable from cache-key construction, aging
         replay, and fault-plan sampling is free of clock/random/env/
         set-order nondeterminism — or carries a reviewed pragma."""
-        result = lint_paths(
-            [REPO_ROOT / "src"],
-            rules=[TransitiveDeterminismRule],
-            root=REPO_ROOT,
-        )
-        assert result.findings == [], [f.format() for f in result.findings]
+        assert findings_of(shipped_lint, TransitiveDeterminismRule) == []
         # The pragma waivers are the three reviewed dynamic sites.
-        assert result.pragma_suppressed == 3
+        assert shipped_lint.pragma_suppressed_by_rule.get("R101") == 3
 
 
 class TestR102SchemaRegistry:
@@ -250,11 +262,8 @@ class TestR102SchemaRegistry:
         }, rules=[SchemaRegistryRule])
         assert result.findings == []
 
-    def test_shipped_tree_is_registry_clean(self):
-        result = lint_paths(
-            [REPO_ROOT / "src"], rules=[SchemaRegistryRule], root=REPO_ROOT
-        )
-        assert result.findings == [], [f.format() for f in result.findings]
+    def test_shipped_tree_is_registry_clean(self, shipped_lint):
+        assert findings_of(shipped_lint, SchemaRegistryRule) == []
 
 
 class TestR103UnitFlow:
@@ -319,11 +328,8 @@ class TestR103UnitFlow:
         assert len(result.findings) == 1
         assert "keyword argument 'len_frags'" in result.findings[0].message
 
-    def test_shipped_tree_is_unit_clean(self):
-        result = lint_paths(
-            [REPO_ROOT / "src"], rules=[UnitFlowRule], root=REPO_ROOT
-        )
-        assert result.findings == [], [f.format() for f in result.findings]
+    def test_shipped_tree_is_unit_clean(self, shipped_lint):
+        assert findings_of(shipped_lint, UnitFlowRule) == []
 
 
 class TestR104IterationOrder:

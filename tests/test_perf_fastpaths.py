@@ -1,10 +1,12 @@
 """Differential tests for the allocation hot paths.
 
-``FragBitmap`` and ``BlockRunMap`` were rewritten with ``bytearray``
-slice primitives and single-splice interval updates; these tests drive
-the fast structures and deliberately naive references through the same
-randomized operation sequences and require identical observable state —
-including identical error behaviour — after every step.
+``FragBitmap`` is built on ``bytearray`` slice primitives, and its
+block-level queries (free blocks, free runs, cluster search) are
+C-level scans of the per-block free counts; these tests drive it and
+deliberately naive references through the same randomized operation
+sequences and require identical observable state — including identical
+error behaviour — after every step.  ``TestAllocRangeContract`` pins the
+error contract of the cylinder group's cluster allocation.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import random  # replint: disable=R001  (seeded test-local stream; repro.rng is 
 
 import pytest
 
+from repro.errors import OutOfSpaceError
 from repro.ffs.bitmap import FragBitmap
-from repro.ffs.clustermap import BlockRunMap
+from repro.ffs.cg import CylinderGroup
+from repro.ffs.params import scaled_params
+from repro.units import MB
 
 
 # ----------------------------------------------------------------------
@@ -77,23 +82,26 @@ class RefBitmap:
             self.bits[block][i] == 0 for i in range(offset, offset + nfrags)
         )
 
-    def partial_blocks_with_run(self, nfrags: int):
-        found = set()
-        for block in range(self.nblocks):
-            free = self.free_in_block(block)
-            if free == 0 or free == self.fpb:
-                continue
-            if any(length >= nfrags for _off, length in self.frag_runs(block)):
-                found.add(block)
-        return found
+    def find_run_any_block(self, start_block: int, nfrags: int):
+        for i in range(self.nblocks):
+            block = (start_block + i) % self.nblocks
+            for off, length in self.frag_runs(block):
+                if length >= nfrags:
+                    return (block, off)
+        return None
 
 
 class RefRunMap:
-    """Free-block set; runs and queries are recomputed from scratch."""
+    """Free-block set; runs and queries are recomputed from scratch.
+
+    ``partial`` holds the blocks with one fragment run allocated (as
+    ``block -> (offset, nfrags)``): neither free nor wholly allocated.
+    """
 
     def __init__(self, nblocks: int):
         self.nblocks = nblocks
         self.free = set(range(nblocks))
+        self.partial = {}
 
     def alloc(self, block: int) -> None:
         if block not in self.free:
@@ -107,8 +115,16 @@ class RefRunMap:
         self.free -= set(blocks)
 
     def free_block(self, block: int) -> None:
-        if block in self.free:
+        if block in self.free or block in self.partial:
             raise ValueError("already free")
+        self.free.add(block)
+
+    def alloc_frags(self, block: int, offset: int, nfrags: int) -> None:
+        self.alloc(block)
+        self.partial[block] = (offset, nfrags)
+
+    def free_frags(self, block: int) -> None:
+        del self.partial[block]
         self.free.add(block)
 
     def runs(self):
@@ -125,11 +141,30 @@ class RefRunMap:
     def max_run(self) -> int:
         return max((length for _s, length in self.runs()), default=0)
 
-    def first_not_free(self, start: int, length: int):
-        for b in range(start, start + length):
-            if b not in self.free:
-                return b
+    def free_run_length_at(self, block: int) -> int:
+        n = 0
+        while block + n in self.free:
+            n += 1
+        return n
+
+    def find_free_block(self, pref: int):
+        for i in range(self.nblocks):
+            if (pref + i) % self.nblocks in self.free:
+                return (pref + i) % self.nblocks
         return None
+
+    def find_free_blocks(self, length: int, pref: int, fit: str):
+        if self.free_run_length_at(pref) >= length:
+            return pref
+        adequate = [(s, n) for s, n in self.runs() if n >= length]
+        if not adequate:
+            return None
+        if fit == "firstfit":
+            return adequate[0][0]
+        # bestfit: smallest run; ties go to the first start after pref,
+        # cyclically (runs starting after pref, then from the group start).
+        order = sorted(adequate, key=lambda r: (r[0] <= pref, r[0]))
+        return min(order, key=lambda r: r[1])[0]
 
 
 # ----------------------------------------------------------------------
@@ -141,11 +176,13 @@ def _assert_bitmap_equal(fast: FragBitmap, ref: RefBitmap) -> None:
     assert fast.free_frags == ref.free_frags()
     for block in range(fast.nblocks):
         assert fast.free_in_block(block) == ref.free_in_block(block)
-        assert fast.frag_runs(block) == ref.frag_runs(block)
+        for off in range(fast.fpb):
+            assert fast.is_frag_free(block, off) == (ref.bits[block][off] == 0)
     for nfrags in range(1, fast.fpb):
-        assert set(fast.partial_blocks_with_run(nfrags)) == (
-            ref.partial_blocks_with_run(nfrags)
-        )
+        for start in range(0, fast.nblocks, 5):
+            assert fast.find_run_any_block(start, nfrags) == (
+                ref.find_run_any_block(start, nfrags)
+            )
 
 
 @pytest.mark.parametrize("seed", [1, 1996, 20260806])
@@ -189,48 +226,57 @@ def test_frag_bitmap_differential(seed):
     _assert_bitmap_equal(fast, ref)
 
 
-def _assert_runmap_equal(fast: BlockRunMap, ref: RefRunMap) -> None:
-    assert fast.runs() == ref.runs()
+def _assert_block_runs_equal(fast: FragBitmap, ref: RefRunMap) -> None:
+    assert fast.block_runs() == ref.runs()
     assert fast.free_blocks == len(ref.free)
-    assert fast.max_run() == ref.max_run()
+    assert max((n for _s, n in fast.block_runs()), default=0) == ref.max_run()
 
 
 @pytest.mark.parametrize("seed", [2, 42, 19960122])
 def test_block_runmap_differential(seed):
+    """Whole-block and fragment allocations through ``FragBitmap`` against
+    a free-block set: runs, counts and every block-level query agree."""
     rng = random.Random(seed)
-    nblocks = 64
-    fast = BlockRunMap(nblocks)
+    nblocks, fpb = 64, 8
+    fast = FragBitmap(nblocks, fpb)
     ref = RefRunMap(nblocks)
     for _step in range(800):
         op = rng.random()
         block = rng.randrange(nblocks)
         fast_err = ref_err = None
-        if op < 0.35:
+        if op < 0.3:
             try:
-                fast.alloc(block)
+                fast.alloc_run(block, 0, fpb)
             except ValueError as exc:
                 fast_err = exc
             try:
                 ref.alloc(block)
             except ValueError:
                 ref_err = ValueError
-        elif op < 0.6:
+        elif op < 0.5:
             length = rng.randint(1, min(6, nblocks - block))
             try:
-                fast.alloc_range(block, length)
+                fast.alloc_block_range(block, length)
             except ValueError as exc:
                 fast_err = exc
             try:
                 ref.alloc_range(block, length)
             except ValueError:
                 ref_err = ValueError
-            probe_len = rng.randint(1, min(6, nblocks - block))
-            assert fast.first_not_free(block, probe_len) == (
-                ref.first_not_free(block, probe_len)
-            )
+        elif op < 0.6:
+            # A fragment run in a free block, or freeing one: partial
+            # blocks must never count as free in any block-level query.
+            if block in ref.partial:
+                fast.free_run(block, *ref.partial[block])
+                ref.free_frags(block)
+            elif block in ref.free:
+                offset = rng.randrange(fpb)
+                nfrags = rng.randint(1, min(fpb - offset, fpb - 1))
+                fast.alloc_run(block, offset, nfrags)
+                ref.alloc_frags(block, offset, nfrags)
         else:
             try:
-                fast.free(block)
+                fast.free_run(block, 0, fpb)
             except ValueError as exc:
                 fast_err = exc
             try:
@@ -238,60 +284,66 @@ def test_block_runmap_differential(seed):
             except ValueError:
                 ref_err = ValueError
         assert (fast_err is None) == (ref_err is None)
-        assert fast.is_free(block) == (block in ref.free)
-    _assert_runmap_equal(fast, ref)
-    # the search query still returns a genuinely free block (or None)
-    for pref in range(0, nblocks, 7):
-        found = fast.find_free_block(pref)
-        if ref.free:
-            assert found in ref.free
-        else:
-            assert found is None
+        assert fast.block_is_free(block) == (block in ref.free)
+        assert fast.free_run_length_at(block) == ref.free_run_length_at(block)
+        pref = rng.randrange(nblocks)
+        assert fast.find_free_block(pref) == ref.find_free_block(pref)
+        length = rng.randint(1, 8)
+        for fit in ("firstfit", "bestfit"):
+            assert fast.find_free_blocks(length, pref, fit) == (
+                ref.find_free_blocks(length, pref, fit)
+            ), (fit, length, pref)
+    _assert_block_runs_equal(fast, ref)
 
 
 # ----------------------------------------------------------------------
-# Regression: alloc_range error contract (satellite fix)
+# Regression: the cluster allocation's error contract
 # ----------------------------------------------------------------------
 
 
 class TestAllocRangeContract:
-    def test_start_not_free_names_start(self):
-        m = BlockRunMap(16)
-        m.alloc_range(4, 3)  # occupy [4, 7)
-        with pytest.raises(ValueError, match=r"block 5 is not free"):
-            m.alloc_range(5, 2)
+    """``CylinderGroup.alloc_cluster`` names the first block it cannot
+    take and changes nothing when it refuses.  Group 0 starts at global
+    block 0, so local and global block numbers coincide; ``m`` is the
+    first block after the group's metadata."""
 
-    def test_overrun_names_first_allocated_block(self):
-        m = BlockRunMap(16)
-        m.alloc_range(8, 2)  # occupy [8, 10); [0, 8) stays free
-        with pytest.raises(ValueError, match=r"block 8 is not free"):
-            m.alloc_range(6, 4)  # blocks 6..9: fails at 8
+    @pytest.fixture
+    def cg(self):
+        return CylinderGroup(scaled_params(24 * MB), 0)
 
-    def test_overrun_past_end_names_end(self):
-        m = BlockRunMap(16)
-        with pytest.raises(ValueError, match=r"block 16 is not free"):
-            m.alloc_range(14, 4)
+    def test_start_not_free_names_start(self, cg):
+        m = cg.params.metadata_blocks_per_cg
+        cg.alloc_cluster(m + 4, 3)  # occupy [m+4, m+7)
+        with pytest.raises(OutOfSpaceError, match=rf"block {m + 5} is not free"):
+            cg.alloc_cluster(m + 5, 2)
 
-    def test_failed_alloc_range_is_atomic(self):
-        m = BlockRunMap(16)
-        m.alloc_range(8, 2)
-        before = (m.runs(), m.free_blocks, m.max_run())
-        with pytest.raises(ValueError):
-            m.alloc_range(6, 4)
-        assert (m.runs(), m.free_blocks, m.max_run()) == before
+    def test_overrun_names_first_allocated_block(self, cg):
+        m = cg.params.metadata_blocks_per_cg
+        cg.alloc_cluster(m + 8, 2)  # occupy [m+8, m+10)
+        with pytest.raises(OutOfSpaceError, match=rf"block {m + 8} is not free"):
+            cg.alloc_cluster(m + 6, 4)  # fails at m+8
 
-    def test_zero_length_is_a_noop(self):
-        m = BlockRunMap(8)
-        m.alloc_range(3, 0)
-        assert m.runs() == [(0, 8)]
+    def test_overrun_past_end_names_end(self, cg):
+        with pytest.raises(OutOfSpaceError, match="crosses the group boundary"):
+            cg.alloc_cluster(cg.base + cg.nblocks - 2, 4)
 
-    def test_max_run_tracks_splits_and_merges(self):
-        m = BlockRunMap(32)
-        assert m.max_run() == 32
-        m.alloc_range(10, 4)  # [0,10) + [14,32)
-        assert m.max_run() == 18
-        m.alloc_range(20, 12)  # [0,10) + [14,20)
-        assert m.max_run() == 10
-        for b in range(10, 14):
-            m.free(b)  # rejoin: [0,20)
-        assert m.max_run() == 20
+    def test_failed_alloc_range_is_atomic(self, cg):
+        m = cg.params.metadata_blocks_per_cg
+        cg.alloc_cluster(m + 8, 2)
+        before = (cg.bitmap.block_runs(), cg.free_blocks, cg.free_frags, cg.rotor)
+        with pytest.raises(OutOfSpaceError):
+            cg.alloc_cluster(m + 6, 4)
+        assert (
+            cg.bitmap.block_runs(), cg.free_blocks, cg.free_frags, cg.rotor
+        ) == before
+
+    def test_max_run_tracks_splits_and_merges(self, cg):
+        m = cg.params.metadata_blocks_per_cg
+        n = cg.nblocks - m  # one free run after the metadata
+        assert cg.max_free_run() == n
+        cg.alloc_cluster(m + 10, 4)  # [m, m+10) + [m+14, end)
+        assert cg.max_free_run() == n - 14
+        cg.alloc_cluster(m + 20, n - 20)  # [m, m+10) + [m+14, m+20)
+        assert cg.max_free_run() == 10
+        cg.free_block_range(m + 10, 4)  # rejoin: [m, m+20)
+        assert cg.max_free_run() == 20

@@ -1,8 +1,8 @@
 """Property-based tests for the fragment bitmap.
 
 A random interleaving of valid allocate/free operations must keep every
-derived structure (free counts, per-block counts, the frag-run index)
-consistent with a recount from scratch.
+derived answer (free counts, per-block counts, whole-block runs, the
+fragment-run search) consistent with a recount from scratch.
 """
 
 from hypothesis import given, settings
@@ -58,17 +58,33 @@ class BitmapMachine(RuleBasedStateMachine):
             assert self.bitmap.free_in_block(block) == FPB - allocated
 
     @invariant()
-    def frag_run_index_matches_reality(self):
+    def block_runs_match_shadow(self):
+        free = [
+            all((b, o) not in self.shadow for o in range(FPB))
+            for b in range(NBLOCKS)
+        ]
+        assert self.bitmap.free_blocks == sum(free)
+        covered = [False] * NBLOCKS
+        for start, length in self.bitmap.block_runs():
+            assert start == 0 or not free[start - 1]  # maximal
+            assert start + length == NBLOCKS or not free[start + length]
+            covered[start:start + length] = [True] * length
+        assert covered == free
+
+    @invariant()
+    def run_search_finds_nearest_shadow_run(self):
         for nfrags in range(1, FPB):
-            indexed = set(self.bitmap.partial_blocks_with_run(nfrags))
-            actual = set()
+            want = None
             for block in range(NBLOCKS):
-                free = self.bitmap.free_in_block(block)
-                if free in (0, FPB):
-                    continue
-                if self.bitmap.find_run_in_block(block, nfrags) is not None:
-                    actual.add(block)
-            assert indexed == actual
+                run = 0
+                for off in range(FPB):
+                    run = 0 if (block, off) in self.shadow else run + 1
+                    if run == nfrags:
+                        want = (block, off - nfrags + 1)
+                        break
+                if want is not None:
+                    break
+            assert self.bitmap.find_run_any_block(0, nfrags) == want
 
 
 TestBitmapMachine = BitmapMachine.TestCase
@@ -93,11 +109,13 @@ class TestBitmapProperties:
             bitmap.free_run(block, offset, nfrags)
         assert bitmap.free_frags == NBLOCKS * FPB
         assert all(bitmap.block_is_free(b) for b in range(NBLOCKS))
-        assert bitmap.partial_blocks_with_run(1) == []
+        assert bitmap.block_runs() == [(0, NBLOCKS)]
 
     @given(st.integers(0, NBLOCKS - 1), st.integers(1, FPB - 1))
     def test_frag_runs_cover_free_space(self, block, nalloc):
         bitmap = FragBitmap(NBLOCKS, FPB)
         bitmap.alloc_run(block, 0, nalloc)
-        runs = bitmap.frag_runs(block)
-        assert sum(length for _o, length in runs) == FPB - nalloc
+        # The free space left is one run: from nalloc to the block end.
+        assert bitmap.free_in_block(block) == FPB - nalloc
+        assert bitmap.run_is_free(block, nalloc, FPB - nalloc)
+        assert bitmap.find_run_any_block(block, FPB - nalloc) == (block, nalloc)
